@@ -1,6 +1,6 @@
 // Per-component microbenchmarks as an acolay_bench suite: the baseline
-// layering algorithms, the ACO inner-loop primitives (Algorithm 5 width
-// updates, a full ant walk), and the colony end to end — the per-component
+// layering algorithms, the ACO inner-loop primitives (a full ant walk on
+// warm buffers), and the colony end to end — the per-component
 // cost behind the paper's Figure 8/9 running-time curves.
 //
 // Replaces the old google-benchmark binary (micro_components) with the
@@ -16,7 +16,9 @@
 #include "baselines/min_width.hpp"
 #include "baselines/network_simplex.hpp"
 #include "baselines/promote.hpp"
-#include "core/aco.hpp"
+#include "core/ant.hpp"
+#include "core/colony.hpp"
+#include "core/stretch.hpp"
 #include "gen/random_dag.hpp"
 #include "layering/metrics.hpp"
 #include "suites/suites.hpp"
@@ -76,15 +78,9 @@ harness::Suite micro_suite() {
                           }});
     components.push_back({"metrics_bundle", 200 * scale,
                           [&] { layering::compute_metrics(g, lpl); }});
-    std::uint64_t walk_seed = 0;
-    components.push_back(
-        {"ant_walk", 50 * scale, [&] {
-           core::perform_walk(g, stretched.layering, num_layers, tau,
-                              params, support::Rng(++walk_seed));
-         }});
-    // Steady-state counterpart of ant_walk: the workspace-reusing overload
-    // the colony actually runs, with the CSR snapshot and all buffers
+    // The walk the colony runs, with the CSR snapshot and all buffers
     // amortised across iterations (zero allocation after the first walk).
+    std::uint64_t walk_seed = 0;
     const graph::CsrView csr(g);
     core::WalkWorkspace walk_ws;
     core::WalkResult walk_result;

@@ -11,11 +11,11 @@
 
 #include "gen/random_dag.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/cycle_removal.hpp"
 #include "harness/algorithms.hpp"
 #include "io/dot.hpp"
 #include "layering/metrics.hpp"
 #include "support/table.hpp"
-#include "sugiyama/cycle_removal.hpp"
 
 int main(int argc, char** argv) {
   using namespace acolay;
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
               << " vertices, " << g.num_edges() << " edges\n";
     if (!graph::is_dag(g)) {
       std::cout << "Input has cycles; reversing a feedback arc set.\n";
-      g = sugiyama::make_acyclic(g).dag;
+      g = graph::make_acyclic(g).dag;
     }
   } else {
     const std::size_t n = argc > 1 ? std::stoul(argv[1]) : 60;

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "baselines/longest_path.hpp"
-#include "core/aco.hpp"
+#include "core/colony.hpp"
 #include "gen/random_dag.hpp"
 #include "layering/metrics.hpp"
 #include "support/table.hpp"

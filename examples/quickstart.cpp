@@ -7,7 +7,7 @@
 // core::AntColony, and the layering metrics.
 #include <iostream>
 
-#include "core/aco.hpp"
+#include "core/colony.hpp"
 #include "layering/metrics.hpp"
 
 int main() {

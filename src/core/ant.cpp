@@ -175,15 +175,4 @@ void perform_walk(const graph::CsrView& g, const layering::Layering& base,
   result.objective = result.metrics.objective;
 }
 
-WalkResult perform_walk(const graph::Digraph& g,
-                        const layering::Layering& base, int num_layers,
-                        const PheromoneMatrix& tau, const AcoParams& params,
-                        support::Rng rng) {
-  const graph::CsrView csr(g);
-  WalkWorkspace ws;
-  WalkResult result;
-  perform_walk(csr, base, num_layers, tau, params, rng, ws, result);
-  return result;
-}
-
 }  // namespace acolay::core

@@ -25,7 +25,6 @@
 #include "core/params.hpp"
 #include "core/pheromone.hpp"
 #include "graph/csr.hpp"
-#include "graph/digraph.hpp"
 #include "layering/layer_widths.hpp"
 #include "layering/layering.hpp"
 #include "layering/metrics.hpp"
@@ -81,20 +80,14 @@ struct WalkWorkspace {
   }
 };
 
-/// Executes one walk. `base` must be a valid layering of g within
-/// [1, num_layers]; `tau` is the shared pheromone matrix (read-only during
-/// the tour). The rng is taken by value: each (tour, ant) pair gets its own
-/// forked stream, making the colony's result independent of thread
-/// scheduling.
-WalkResult perform_walk(const graph::Digraph& g,
-                        const layering::Layering& base, int num_layers,
-                        const PheromoneMatrix& tau, const AcoParams& params,
-                        support::Rng rng);
-
-/// Allocation-free variant over a frozen CSR view: all working state lives
-/// in `ws`, and the walk writes into `result` (whose buffers are likewise
-/// reused). Bit-identical to the Digraph overload for the same inputs; the
-/// workspace carries no state across calls beyond buffer capacity.
+/// Executes one walk over a frozen CSR view. `base` must be a valid
+/// layering of g within [1, num_layers]; `tau` is the shared pheromone
+/// matrix (read-only during the tour). The rng is taken by value: each
+/// (tour, ant) pair gets its own forked stream, making the colony's result
+/// independent of thread scheduling. All working state lives in `ws`, and
+/// the walk writes into `result` (whose buffers are likewise reused), so a
+/// walk on warm buffers is allocation-free; the workspace carries no state
+/// across calls beyond buffer capacity.
 void perform_walk(const graph::CsrView& g, const layering::Layering& base,
                   int num_layers, const PheromoneMatrix& tau,
                   const AcoParams& params, support::Rng rng,

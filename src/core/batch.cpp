@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "graph/algorithms.hpp"
 #include "support/check.hpp"
 
 namespace acolay::core {
@@ -74,20 +73,6 @@ BatchJobId BatchSolver::submit(const SolveRequest& request) {
   return id;
 }
 
-BatchJobId BatchSolver::submit(const graph::Digraph& g,
-                               const AcoParams& params) {
-  // Deprecated shim: reproduce the historical throwing admission exactly
-  // (message included), then delegate. Seed derivation does not affect
-  // validation, so checking the caller's params here equals checking the
-  // effective ones.
-  ACOLAY_CHECK_MSG(graph::is_dag(g), "BatchSolver requires DAG inputs");
-  validate_aco_params(params);
-  SolveRequest request;
-  request.graph = &g;
-  request.params = params;
-  return submit(request);
-}
-
 void BatchSolver::run_job(Job& job) {
   try {
     const std::size_t worker = support::ThreadPool::worker_index();
@@ -103,16 +88,14 @@ void BatchSolver::run_job(Job& job) {
         run_colony(*job.request.graph, job.csr, job.request.params, ws,
                    /*ant_pool=*/nullptr, job.request.warm_tau);
   } catch (const std::exception& e) {
-    job.error = std::current_exception();
     job.outcome.error = AdmissionError::kInternal;
     job.outcome.message = e.what();
   } catch (...) {
-    job.error = std::current_exception();
     job.outcome.error = AdmissionError::kInternal;
     job.outcome.message = "unknown solver failure";
   }
   {
-    // The lock pairs with the condition-variable waits in wait()/wait_all:
+    // The lock pairs with the condition-variable waits in await_job/wait_all:
     // without it a waiter could check `finished`, lose the race to this
     // store + notify, and then sleep forever.
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -141,17 +124,6 @@ void BatchSolver::await_job(Job& job, BatchJobId id) {
   }
   ACOLAY_CHECK_MSG(!job.collected,
                    "batch job " << id << " was already collected");
-}
-
-void BatchSolver::rethrow_failure(const Job& job, BatchJobId id) {
-  if (job.error) std::rethrow_exception(job.error);
-  // Structured-path admission failures have no stored exception; the
-  // legacy surface promises a throw, so raise one with the outcome's
-  // message.
-  ACOLAY_CHECK_MSG(job.outcome.ok(),
-                   "batch job " << id << " was rejected ("
-                                << admission_error_code(job.outcome.error)
-                                << "): " << job.outcome.message);
 }
 
 std::size_t BatchSolver::num_jobs() const { return jobs_.size(); }
@@ -190,33 +162,6 @@ SolveOutcome BatchSolver::collect_outcome(BatchJobId id) {
   return outcome;
 }
 
-const AcoResult* BatchSolver::poll(BatchJobId id) const {
-  const SolveOutcome* outcome = poll_outcome(id);
-  if (outcome == nullptr) return nullptr;
-  if (!outcome->ok()) rethrow_failure(job_at(id), id);
-  return &outcome->result;
-}
-
-const AcoResult& BatchSolver::wait(BatchJobId id) {
-  const SolveOutcome& outcome = wait_outcome(id);
-  if (!outcome.ok()) rethrow_failure(job_at(id), id);
-  return outcome.result;
-}
-
-AcoResult BatchSolver::collect(BatchJobId id) {
-  // collect_outcome sheds the graph-sized state first (on failure too),
-  // then the failure is surfaced exactly as the historical API did — the
-  // O(1) record's exception_ptr survives the shedding.
-  SolveOutcome outcome = collect_outcome(id);
-  const Job& job = job_at(id);
-  if (job.error) std::rethrow_exception(job.error);
-  ACOLAY_CHECK_MSG(outcome.ok(),
-                   "batch job " << id << " was rejected ("
-                                << admission_error_code(outcome.error)
-                                << "): " << outcome.message);
-  return std::move(outcome.result);
-}
-
 void BatchSolver::wait_all() {
   std::unique_lock<std::mutex> lock(mutex_);
   job_finished_.wait(lock, [this] {
@@ -226,10 +171,8 @@ void BatchSolver::wait_all() {
 
 namespace {
 
-/// solve_all's submit/harvest bodies, shared by both overloads and kept
-/// on the structured path (the throwing shims are deprecated; solve_all
-/// keeps its own documented throw-on-failure contract via the check
-/// below).
+/// solve_all's submit/harvest bodies, shared by both overloads (solve_all
+/// keeps its documented throw-on-failure contract via the check below).
 BatchJobId submit_structured(BatchSolver& solver, const graph::Digraph& g,
                              const AcoParams& params) {
   SolveRequest request;
@@ -285,13 +228,6 @@ std::vector<AcoResult> BatchSolver::solve_all(
     results.push_back(collect_structured(*this, id));
   }
   return results;
-}
-
-std::vector<AcoResult> solve_batch(std::span<const graph::Digraph> graphs,
-                                   const AcoParams& params,
-                                   const BatchOptions& options) {
-  BatchSolver solver(options);
-  return solver.solve_all(graphs, params);
 }
 
 }  // namespace acolay::core

@@ -29,19 +29,16 @@
 // externally synchronised: submit/poll/wait are called from the owning
 // thread; only result completion is shared with the workers.
 //
-// Since PR 7 the primary entry is the structured request path
-// (core::SolveRequest in, core::SolveOutcome out): admission failures are
-// AdmissionError codes in the job's outcome, never exceptions — a
-// rejected request produces a job that is born finished. The original
-// throwing submit/poll/wait/collect surface remains as thin deprecated
-// shims with its exact historical behaviour.
+// Requests arrive on the structured path (core::SolveRequest in,
+// core::SolveOutcome out): admission failures are AdmissionError codes in
+// the job's outcome, never exceptions — a rejected request produces a job
+// that is born finished.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -103,14 +100,6 @@ class BatchSolver {
   /// serving a request stream should collect).
   BatchJobId submit(const SolveRequest& request);
 
-  /// Deprecated throwing shim (pre-PR 7 surface): validates `g` (must be
-  /// a DAG) and the params, throwing support::CheckError exactly as the
-  /// historical API did, then delegates to the request path. Prefer
-  /// submit(const SolveRequest&).
-  [[deprecated("use submit(const SolveRequest&) — failures become outcome "
-               "codes instead of throws")]] BatchJobId
-  submit(const graph::Digraph& g, const AcoParams& params);
-
   /// Jobs submitted so far (finished or not).
   std::size_t num_jobs() const;
 
@@ -136,35 +125,14 @@ class BatchSolver {
   /// on it throw.
   SolveOutcome collect_outcome(BatchJobId id);
 
-  /// Deprecated throwing shim: the job's result once finished, nullptr
-  /// while queued or running. Rethrows the job's solve error; surfaces a
-  /// structured-path admission failure as support::CheckError.
-  [[deprecated("use poll_outcome() — failures become outcome codes instead "
-               "of throws")]] const AcoResult*
-  poll(BatchJobId id) const;
-
-  /// Deprecated throwing shim over wait_outcome(): returns the result
-  /// (owned by the solver), rethrowing failures as the historical API
-  /// did.
-  [[deprecated("use wait_outcome() — failures become outcome codes instead "
-               "of throws")]] const AcoResult&
-  wait(BatchJobId id);
-
-  /// Deprecated throwing shim over collect_outcome(): moves the result
-  /// out and releases the job's graph-sized state (on failure too, so an
-  /// errored job on the serving path cannot pin its snapshot), then
-  /// rethrows the job's failure if it had one.
-  [[deprecated("use collect_outcome() — failures become outcome codes "
-               "instead of throws")]] AcoResult
-  collect(BatchJobId id);
-
-  /// Blocks until every submitted job has finished. Does not rethrow job
-  /// errors — collect those per job via wait()/poll().
+  /// Blocks until every submitted job has finished. Job failures stay in
+  /// their outcomes (wait_outcome()/poll_outcome()).
   void wait_all();
 
   /// Blocking convenience: submits every graph with `params` (seeds
   /// derived per job when options().derive_seeds) and returns the results
-  /// in input order.
+  /// in input order. Throws support::CheckError if any job was rejected or
+  /// failed.
   std::vector<AcoResult> solve_all(std::span<const graph::Digraph> graphs,
                                    const AcoParams& params);
 
@@ -184,8 +152,7 @@ class BatchSolver {
     graph::Digraph owned_dag;
     graph::CsrView csr;    ///< frozen at admission, released by collect
     SolveOutcome outcome;  ///< result or structured failure
-    std::exception_ptr error;  ///< legacy rethrow channel (solve errors)
-    bool collected = false;    ///< outcome moved out, snapshot released
+    bool collected = false;  ///< outcome moved out, snapshot released
     std::atomic<bool> finished{false};
   };
 
@@ -193,12 +160,8 @@ class BatchSolver {
   const Job& job_at(BatchJobId id) const;
   Job& job_at(BatchJobId id);
   /// Blocks until `job` finishes and rejects already-collected jobs
-  /// (shared by wait/collect; failure surfacing stays with the callers so
-  /// collect can release a failed job's state first).
+  /// (shared by wait_outcome/collect_outcome).
   void await_job(Job& job, BatchJobId id);
-  /// Legacy-shim failure surfacing: rethrows the job's solve error, or
-  /// raises CheckError for a structured-path admission failure.
-  static void rethrow_failure(const Job& job, BatchJobId id);
 
   BatchOptions options_;
   /// Job records; deque for stable addresses (workers hold references
@@ -219,11 +182,5 @@ class BatchSolver {
   /// outlive the job records or workspaces above.
   support::ThreadPool pool_;
 };
-
-/// One-shot convenience: batch-solves every graph with `params` and
-/// returns the results in input order.
-std::vector<AcoResult> solve_batch(std::span<const graph::Digraph> graphs,
-                                   const AcoParams& params,
-                                   const BatchOptions& options = {});
 
 }  // namespace acolay::core

@@ -56,10 +56,6 @@ AcoResult run_colony(const graph::Digraph& g, const graph::CsrView& csr,
   auto stretched = stretch_layering(g, lpl, params.stretch);
   const int num_layers = std::max(stretched.num_layers, 1);
 
-  const layering::MetricsOptions metric_opts{params.dummy_width};
-  result.initial_objective = layering::layering_objective(
-      g, layering::normalized(stretched.layering), metric_opts);
-
   // Warm start (serving layer): adopt the caller's matrix only when its
   // shape matches this run exactly — a stale snapshot from a differently
   // stretched (or different) graph falls back to the cold tau0 reset.
@@ -72,7 +68,7 @@ AcoResult run_colony(const graph::Digraph& g, const graph::CsrView& csr,
     ws.tau.reset(n, num_layers, params.tau0);
   }
 
-  run_tours(g, csr, params, stretched.layering, num_layers, ws, ant_pool,
+  run_tours(csr, params, stretched.layering, num_layers, ws, ant_pool,
             result);
 
   result.seconds = stopwatch.elapsed_seconds();
@@ -80,21 +76,13 @@ AcoResult run_colony(const graph::Digraph& g, const graph::CsrView& csr,
   return result;
 }
 
-void run_tours(const graph::Digraph& g, const graph::CsrView& csr,
-               const AcoParams& params, const layering::Layering& start,
-               int num_layers, ColonyWorkspace& ws,
-               support::ThreadPool* ant_pool, AcoResult& result) {
-  const auto n = g.num_vertices();
+void run_tours(const graph::CsrView& csr, const AcoParams& params,
+               const layering::Layering& start, int num_layers,
+               ColonyWorkspace& ws, support::ThreadPool* ant_pool,
+               AcoResult& result) {
+  const auto n = csr.num_vertices();
   result.trace.clear();
-  if (n == 0) {
-    result.layering = layering::Layering(0);
-    result.metrics = layering::LayeringMetrics{};
-    return;
-  }
-
   const layering::MetricsOptions metric_opts{params.dummy_width};
-  support::Rng root(params.seed);
-
   const auto num_ants = static_cast<std::size_t>(params.num_ants);
   // One workspace and result slot per ant, reused across all tours (and
   // across runs — buffers only ever grow): walks allocate only until every
@@ -110,10 +98,19 @@ void run_tours(const graph::Digraph& g, const graph::CsrView& csr,
   // layering (whose emergent behaviour is trading height for width), not
   // max(start, walks) — see Fig. 6's "20 to 30% higher than LPL". The
   // compact evaluation is the copy-free equivalent of metrics over
-  // normalized(start) (bit-identical; layering/metrics.hpp).
+  // normalized(start) (bit-identical; layering/metrics.hpp), and it is
+  // also the reported initial objective.
   ws.best = start;
   layering::LayeringMetrics best_metrics = layering::compute_metrics(
       csr, ws.best, metric_opts, ws.ants[0].metrics, /*compact=*/true);
+  result.initial_objective = best_metrics.objective;
+  if (n == 0) {
+    result.layering = layering::Layering(0);
+    result.metrics = layering::LayeringMetrics{};
+    return;
+  }
+
+  support::Rng root(params.seed);
   bool have_walk_result = false;
   double best_objective = 0.0;
 
@@ -210,58 +207,30 @@ void run_tours(const graph::Digraph& g, const graph::CsrView& csr,
   result.metrics = best_metrics;
 }
 
-AcoResult run_validated_colony(const graph::Digraph& g,
-                               const AcoParams& params, ColonyWorkspace& ws,
-                               PheromoneMatrix* tau_io) {
-  if (g.num_vertices() == 0) {
-    return run_colony(g, graph::CsrView{}, params, ws, nullptr, tau_io);
-  }
-  // One frozen CSR snapshot serves every walk and metrics evaluation of
-  // the run: the ants only read the topology.
-  const graph::CsrView csr(g);
-  if (params.num_threads == 1) {
-    // Serial ants need no pool; spawning a one-worker pool here would
-    // create and join an OS thread that parallel_for's single-thread
-    // shortcut never hands a walk anyway.
-    return run_colony(g, csr, params, ws, nullptr, tau_io);
-  }
-  support::ThreadPool pool(params.num_threads <= 0
-                               ? 0
-                               : static_cast<std::size_t>(params.num_threads));
-  return run_colony(g, csr, params, ws, &pool, tau_io);
-}
-
 AntColony::AntColony(const graph::Digraph& g, AcoParams params)
     : AntColony(g, params, CyclePolicy::kReject) {}
 
 AntColony::AntColony(const graph::Digraph& g, AcoParams params,
                      CyclePolicy policy)
-    : g_(g), params_(params) {
+    : graph_(&g), params_(params) {
   if (policy == CyclePolicy::kReject) {
     ACOLAY_CHECK_MSG(graph::is_dag(g), "AntColony requires a DAG");
-    effective_ = &g_;
   } else {
     CycleResolution phase0;
     resolve_cycles(g, policy, params_.seed, phase0);
     reversed_edges_ = std::move(phase0.reversed_edges);
-    if (phase0.graph == &g) {
-      effective_ = &g_;
-    } else {
-      owned_dag_ = std::move(phase0.owned);
-      effective_ = &owned_dag_;
-    }
+    if (phase0.graph != &g) reoriented_ = std::move(phase0.owned);
   }
   validate_aco_params(params_);
 }
 
-AcoResult AntColony::run() {
-  return run_validated_colony(*effective_, params_, ws_);
-}
-
-layering::Layering aco_layering(const graph::Digraph& g,
-                                const AcoParams& params) {
-  AntColony colony(g, params);
-  return colony.run().layering;
+AcoResult AntColony::run() const {
+  // Phase 0 already ran at construction, so the request carries the DAG
+  // under kReject; the constructor's checks guarantee admission.
+  SolveRequest request;
+  request.graph = reoriented_ ? &*reoriented_ : graph_;
+  request.params = params_;
+  return solve(request).result;
 }
 
 }  // namespace acolay::core

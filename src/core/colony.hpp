@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "core/ant.hpp"
@@ -67,8 +68,8 @@ void validate_aco_params(const AcoParams& params);
 /// A whole colony's reusable working set: one WalkWorkspace per ant slot,
 /// the per-ant walk results the tour reduction reads, and the pheromone
 /// matrix — everything run_colony resets in place, so a workspace reused
-/// across runs (AntColony reruns, or BatchSolver's per-worker pools)
-/// allocates only until each buffer reaches its high-water size.
+/// across runs (BatchSolver's per-worker pools, an IncrementalSolver
+/// session) allocates only until each buffer reaches its high-water size.
 struct ColonyWorkspace {
   std::vector<WalkWorkspace> ants;  ///< one walk workspace per ant slot
   std::vector<WalkResult> walks;    ///< per-ant results of the current tour
@@ -86,9 +87,11 @@ struct ColonyWorkspace {
                std::size_t num_layers);
 };
 
-/// The colony engine behind AntColony::run() and BatchSolver: runs the
-/// full search (paper runColony()) over a frozen CSR snapshot of `g`, with
-/// all reusable state in `ws`. When `ant_pool` is non-null the ants of a
+/// The colony engine behind core::solve (hence AntColony::run()),
+/// BatchSolver and IncrementalSolver: runs the full search (paper
+/// runColony()) over a frozen CSR snapshot of `g`, with all reusable state
+/// in `ws`. Initialisation (longest-path layering and stretch) reads `g`;
+/// every tour reads only `csr`. When `ant_pool` is non-null the ants of a
 /// tour are distributed over it; null runs them serially on the calling
 /// thread — bit-identical either way (per-(tour, ant) RNG streams, index
 /// reduction), which is what lets BatchSolver run whole colonies as
@@ -113,35 +116,30 @@ AcoResult run_colony(const graph::Digraph& g, const graph::CsrView& csr,
 
 /// The layering phase (Alg. 4) alone: runs `params.num_tours` tours from
 /// the `start` layering against whatever pheromone matrix `ws.tau`
-/// currently holds, and writes the best layering/metrics/trace into
-/// `result` in place (buffers reused; `seconds` and `initial_objective`
-/// are left untouched). This is run_colony minus the initialisation phase
-/// — run_colony delegates here, and the incremental solve path
-/// (core::IncrementalSolver) calls it directly with a remapped warm matrix
-/// and a repaired start layering, so both paths share one tour loop and
-/// stay bit-identical by construction.
+/// currently holds, and writes the best layering/metrics/trace and the
+/// start layering's objective (`initial_objective`) into `result` in place
+/// (buffers reused; `seconds` is left untouched). This is run_colony minus
+/// the initialisation phase — run_colony delegates here, and the
+/// incremental solve path (core::IncrementalSolver) calls it directly with
+/// a remapped warm matrix and a repaired start layering, so both paths
+/// share one tour loop and stay bit-identical by construction.
 ///
-/// Preconditions: `csr` snapshots `g`, `start` is a valid layering of `g`
-/// within [1, num_layers], `ws.tau` is sized exactly
-/// (g.num_vertices(), num_layers), and `params` passes
+/// Preconditions: `start` is a valid layering of the graph `csr` snapshots,
+/// within [1, num_layers]; `ws.tau` is sized exactly
+/// (csr.num_vertices(), num_layers); and `params` passes
 /// validate_aco_params. Allocation-free once `ws` and `result` have
 /// reached their high-water sizes.
-void run_tours(const graph::Digraph& g, const graph::CsrView& csr,
-               const AcoParams& params, const layering::Layering& start,
-               int num_layers, ColonyWorkspace& ws,
-               support::ThreadPool* ant_pool, AcoResult& result);
+void run_tours(const graph::CsrView& csr, const AcoParams& params,
+               const layering::Layering& start, int num_layers,
+               ColonyWorkspace& ws, support::ThreadPool* ant_pool,
+               AcoResult& result);
 
-/// Pool-policy wrapper over run_colony for validated inputs: freezes the
-/// CSR snapshot and runs the ants serially for num_threads == 1 or on a
-/// transient pool otherwise — the shared engine-entry of AntColony::run()
-/// and the structured solve() path (request.hpp).
-AcoResult run_validated_colony(const graph::Digraph& g,
-                               const AcoParams& params, ColonyWorkspace& ws,
-                               PheromoneMatrix* tau_io = nullptr);
-
-/// The paper's colony, bound to one graph: validates inputs once, owns
-/// the reusable ColonyWorkspace, and delegates each run() to run_colony
-/// over a fresh CSR snapshot.
+/// The paper's colony, bound to one graph: a facade over core::solve that
+/// validates its inputs at construction, throwing support::CheckError
+/// where solve() would return an AdmissionError code. Copies are
+/// independent: the colony borrows the caller's graph (which must outlive
+/// it) and owns only Phase 0's reoriented DAG, never a pointer into
+/// itself.
 class AntColony {
  public:
   /// Requires a DAG (CyclePolicy::kReject).
@@ -153,8 +151,9 @@ class AntColony {
   /// DAG. The reversal is reported by reversed_edges().
   AntColony(const graph::Digraph& g, AcoParams params, CyclePolicy policy);
 
-  /// Runs the full search (paper runColony()).
-  AcoResult run();
+  /// Runs the full search (paper runColony()): the result of core::solve
+  /// on this colony's graph, params and cycle policy.
+  AcoResult run() const;
 
   /// The validated parameters this colony runs with.
   const AcoParams& params() const { return params_; }
@@ -166,20 +165,12 @@ class AntColony {
   }
 
  private:
-  const graph::Digraph& g_;
+  const graph::Digraph* graph_;  ///< the caller's graph (borrowed)
   AcoParams params_;
-  /// Phase 0 storage: the reoriented DAG when the input was cyclic.
-  graph::Digraph owned_dag_;
-  /// The graph run() layers: `&owned_dag_` after a reversal, else `&g_`.
-  const graph::Digraph* effective_ = nullptr;
+  /// Phase 0's reoriented DAG when the input was cyclic; run() layers it
+  /// instead of `*graph_`.
+  std::optional<graph::Digraph> reoriented_;
   std::vector<graph::Edge> reversed_edges_;
-  /// Whole-colony workspace, reused across run() calls so the steady-state
-  /// inner loop is allocation-free.
-  ColonyWorkspace ws_;
 };
-
-/// Convenience wrapper: runs a colony and returns only the layering.
-layering::Layering aco_layering(const graph::Digraph& g,
-                                const AcoParams& params = {});
 
 }  // namespace acolay::core

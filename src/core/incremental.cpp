@@ -279,21 +279,20 @@ const SolveOutcome& IncrementalSolver::update(const graph::GraphDelta& delta) {
   run_params.seed =
       params_.seed + static_cast<std::uint64_t>(num_updates_) + 1;
 
-  const layering::MetricsOptions mopts{params_.dummy_width};
-  const layering::LayeringMetrics base_metrics =
-      layering::compute_metrics(csr_, base_, mopts, metrics_ws_,
-                                /*compact=*/true);
-  outcome_.result.initial_objective = base_metrics.objective;
-  run_tours(graph_, csr_, run_params, base_, num_layers(), ws_, pool_.get(),
+  run_tours(csr_, run_params, base_, num_layers(), ws_, pool_.get(),
             outcome_.result);
   // Monotone guard: the shortened budget starts the ants from the repaired
   // base but, per the paper's semantics, reports the best *walk* — which a
   // handful of tours may leave short of an already-good base. Never return
-  // worse than the base we started from.
-  if (base_metrics.objective > outcome_.result.metrics.objective) {
+  // worse than the base we started from (whose objective run_tours reports
+  // as the initial one). Ant 0's metrics scratch already evaluated base_
+  // at the start of run_tours, so re-evaluating it there cannot allocate.
+  if (outcome_.result.initial_objective > outcome_.result.metrics.objective) {
     outcome_.result.layering = base_;
     layering::normalize(outcome_.result.layering, ws_.normalize_scratch);
-    outcome_.result.metrics = base_metrics;
+    outcome_.result.metrics = layering::compute_metrics(
+        csr_, base_, layering::MetricsOptions{params_.dummy_width},
+        ws_.ants[0].metrics, /*compact=*/true);
   }
   outcome_.result.seconds = stopwatch.elapsed_seconds();
   outcome_.error = AdmissionError::kNone;

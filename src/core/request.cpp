@@ -3,8 +3,10 @@
 #include <utility>
 
 #include "graph/algorithms.hpp"
+#include "graph/csr.hpp"
 #include "graph/cycle_removal.hpp"
 #include "support/check.hpp"
+#include "support/thread_pool.hpp"
 
 namespace acolay::core {
 
@@ -101,9 +103,25 @@ SolveOutcome solve(const SolveRequest& request) {
   resolve_cycles(*request.graph, request.cycle_policy, request.params.seed,
                  phase0);
   outcome.reversed_edges = std::move(phase0.reversed_edges);
+
+  // One frozen CSR snapshot serves every walk and metrics evaluation of
+  // the run: the ants only read the topology.
+  const graph::Digraph& g = *phase0.graph;
+  const graph::CsrView csr(g);
+  const AcoParams& params = request.params;
   ColonyWorkspace ws;
-  outcome.result =
-      run_validated_colony(*phase0.graph, request.params, ws, request.warm_tau);
+  if (params.num_threads == 1 || g.num_vertices() == 0) {
+    // Serial ants need no pool; spawning a one-worker pool here would
+    // create and join an OS thread that parallel_for's single-thread
+    // shortcut never hands a walk anyway.
+    outcome.result =
+        run_colony(g, csr, params, ws, /*ant_pool=*/nullptr, request.warm_tau);
+  } else {
+    support::ThreadPool pool(params.num_threads <= 0
+                                 ? 0
+                                 : static_cast<std::size_t>(params.num_threads));
+    outcome.result = run_colony(g, csr, params, ws, &pool, request.warm_tau);
+  }
   return outcome;
 }
 

@@ -1,13 +1,12 @@
 // The unified request/response surface of the solver (PR 7 API redesign).
 //
 // Every entry point into the colony engine — the one-shot solve() below
-// (and AntColony::run() behind it), BatchSolver::submit, and the serving
+// (and the AntColony facade over it), BatchSolver::submit, and the serving
 // layer's wire protocol — consumes one core::SolveRequest and reports
 // admission failures as structured AdmissionError codes in a
 // core::SolveOutcome, instead of the three call sites each throwing bare
-// exceptions with inconsistent messages. The throwing constructors/submit
-// overloads remain as thin deprecated shims so existing callers compile;
-// new code should prefer the request path.
+// exceptions with inconsistent messages. Only AntColony's constructor
+// still throws (support::CheckError), for the paper-facing API.
 //
 // A request carries the full scheduling envelope (deadline, priority,
 // warm-start hook). The core solvers deliberately ignore the scheduling
@@ -131,10 +130,13 @@ struct CycleResolution {
 void resolve_cycles(const graph::Digraph& g, CyclePolicy policy,
                     std::uint64_t seed, CycleResolution& out);
 
-/// One-shot structured solve: validates, freezes a CSR snapshot, runs the
-/// colony (per params.num_threads), and returns the outcome. Admission
-/// failures come back as codes, never exceptions — the request-path
-/// counterpart of constructing an AntColony and calling run().
+/// One-shot structured solve, the single way into the colony for one
+/// graph: validates, runs Phase 0, freezes a CSR snapshot, and runs the
+/// colony with serial ants (params.num_threads == 1) or on a transient
+/// pool of params.num_threads workers (0 = hardware concurrency). Admission
+/// failures come back as codes, never exceptions; AntColony is the
+/// throwing facade over this call. Request streams go through BatchSolver
+/// and edit sessions through IncrementalSolver.
 SolveOutcome solve(const SolveRequest& request);
 
 }  // namespace acolay::core

@@ -199,14 +199,6 @@ std::vector<VertexId> bfs_order(const Digraph& g, VertexId start) {
   return order;
 }
 
-std::vector<VertexId> bfs_order(const CsrView& g, VertexId start) {
-  std::vector<VertexId> order;
-  std::vector<std::uint8_t> seen;
-  std::vector<VertexId> queue;
-  bfs_order_impl(g, start, order, seen, queue);
-  return order;
-}
-
 void bfs_order_into(const CsrView& g, VertexId start,
                     std::vector<VertexId>& order,
                     std::vector<std::uint8_t>& seen,

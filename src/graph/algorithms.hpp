@@ -47,13 +47,11 @@ bool is_weakly_connected(const Digraph& g);
 /// every vertex exactly once.
 std::vector<VertexId> bfs_order(const Digraph& g, VertexId start = 0);
 
-/// CSR overload — identical visit order (one shared implementation, and
-/// CsrView preserves the Digraph's adjacency order).
-std::vector<VertexId> bfs_order(const CsrView& g, VertexId start = 0);
-
-/// In-place bfs_order with caller-owned buffers — the allocation-free
-/// variant the ACO walk uses. `order` receives the visit order; `seen`
-/// and `queue` are scratch.
+/// In-place bfs_order over a CSR view with caller-owned buffers — the
+/// allocation-free variant the ACO walk uses. Identical visit order (one
+/// shared implementation, and CsrView preserves the Digraph's adjacency
+/// order). `order` receives the visit order; `seen` and `queue` are
+/// scratch.
 void bfs_order_into(const CsrView& g, VertexId start,
                     std::vector<VertexId>& order,
                     std::vector<std::uint8_t>& seen,

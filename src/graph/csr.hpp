@@ -6,7 +6,7 @@
 // allocation, and Digraph::edges() materialises a fresh vector on every
 // call (compute_metrics used to rebuild it five times per walk). A CsrView
 // packs the same topology into four contiguous arrays built once per
-// AntColony::run() (or metrics call):
+// solve (or metrics call):
 //
 //   out_offsets_/out_targets_ — successor lists, vertex-major
 //   in_offsets_/in_sources_   — predecessor lists, vertex-major

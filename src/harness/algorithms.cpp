@@ -70,7 +70,7 @@ RunResult run_algorithm(Algorithm alg, const graph::Digraph& g,
       break;
     }
     case Algorithm::kAntColony:
-      result.layering = core::aco_layering(g, opts.aco);
+      result.layering = core::AntColony(g, opts.aco).run().layering;
       break;
     case Algorithm::kNetworkSimplex:
       result.layering = baselines::network_simplex_layering(g);

@@ -28,7 +28,7 @@ enum class Algorithm {
 /// Layering (LPL)", "LPL with Promote Layering", "Ant Colony", ...).
 std::string algorithm_name(Algorithm alg);
 
-/// Short column label for tables/CSV ("LPL", "LPL+PL", "ACO", ...).
+/// Short column label for tables and reports ("LPL", "LPL+PL", ...).
 std::string algorithm_label(Algorithm alg);
 
 /// The five algorithms of the paper's evaluation, in figure order.

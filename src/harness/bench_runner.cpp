@@ -13,7 +13,6 @@
 
 #include "core/colony.hpp"
 #include "support/check.hpp"
-#include "support/csv.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 
@@ -226,30 +225,6 @@ void print_suite_series(std::ostream& os, const SuiteOutput& suite) {
   }
 }
 
-void write_report_csvs(const std::string& dir, const BenchReport& report) {
-  for (const auto& suite : report.suites) {
-    for (const auto& series : suite.series) {
-      support::CsvWriter csv;
-      std::vector<std::string> header{series.x_label};
-      for (const auto& column : series.columns) {
-        header.push_back(column.name + "_mean");
-        header.push_back(column.name + "_stddev");
-      }
-      csv.set_header(std::move(header));
-      for (std::size_t row = 0; row < series.x.size(); ++row) {
-        std::vector<support::CsvCell> cells{series.x[row]};
-        for (const auto& column : series.columns) {
-          cells.emplace_back(column.mean[row]);
-          cells.emplace_back(column.stddev[row]);
-        }
-        csv.add_row(std::move(cells));
-      }
-      csv.write_file(std::filesystem::path(dir) /
-                     (suite.name + "_" + series.name + ".csv"));
-    }
-  }
-}
-
 namespace {
 
 void print_usage(std::ostream& os, const std::vector<Suite>& suites) {
@@ -268,8 +243,6 @@ void print_usage(std::ostream& os, const std::vector<Suite>& suites) {
         "  --warmup N         discarded warm-up runs per suite (default: 0)\n"
         "  --seed S           base ACO seed (default: 1)\n"
         "  --json PATH        write the JSON report to PATH\n"
-        "  --csv-dir DIR      also write each series as "
-        "DIR/<suite>_<series>.csv\n"
         "  --print-series     print every series as a console table\n"
         "  --strict-claims    exit 1 if any shape claim diverges\n"
         "  --list             list registered suites and exit\n"
@@ -291,7 +264,6 @@ int bench_main(int argc, const char* const* argv,
   BenchConfig config;
   std::vector<std::string> selected_names;
   std::string json_path;
-  std::string csv_dir;
   bool print_series = false;
   bool strict_claims = false;
 
@@ -370,9 +342,6 @@ int bench_main(int argc, const char* const* argv,
     } else if (arg == "--json") {
       if (!next_value(i, arg, value)) return 2;
       json_path = value;
-    } else if (arg == "--csv-dir") {
-      if (!next_value(i, arg, value)) return 2;
-      csv_dir = value;
     } else if (arg == "--print-series") {
       print_series = true;
     } else if (arg == "--strict-claims") {
@@ -410,10 +379,6 @@ int bench_main(int argc, const char* const* argv,
 
   if (print_series) {
     for (const auto& suite : report.suites) print_suite_series(out, suite);
-  }
-  if (!csv_dir.empty()) {
-    write_report_csvs(csv_dir, report);
-    out << "CSV series written under " << csv_dir << "/\n";
   }
   if (!json_path.empty()) {
     const std::filesystem::path path(json_path);

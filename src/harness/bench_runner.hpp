@@ -118,12 +118,8 @@ BenchReport run_suites(const std::vector<Suite>& suites,
 /// Renders a suite's series as console tables.
 void print_suite_series(std::ostream& os, const SuiteOutput& suite);
 
-/// Writes each series of each suite as <dir>/<suite>_<series>.csv (the
-/// legacy bench_results layout, for external plotting).
-void write_report_csvs(const std::string& dir, const BenchReport& report);
-
-/// Full CLI: parses argv, selects suites, runs them, writes --json/--csv
-/// outputs. Returns the process exit code (0 ok, 1 failed claims under
+/// Full CLI: parses argv, selects suites, runs them, writes the --json
+/// output. Returns the process exit code (0 ok, 1 failed claims under
 /// --strict-claims, 2 usage error).
 int bench_main(int argc, const char* const* argv,
                const std::vector<Suite>& suites, std::ostream& out,

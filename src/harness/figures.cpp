@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "support/check.hpp"
-#include "support/csv.hpp"
 #include "support/table.hpp"
 
 namespace acolay::harness {
@@ -77,28 +76,6 @@ void print_series(std::ostream& os, const ExperimentResult& result,
     table.add_row(std::move(row));
   }
   table.print(os);
-}
-
-void write_series_csv(const std::filesystem::path& path,
-                      const ExperimentResult& result, Criterion criterion) {
-  support::CsvWriter csv;
-  std::vector<std::string> header{"vertices"};
-  for (const auto alg : result.algorithms) {
-    header.push_back(algorithm_label(alg) + "_mean");
-    header.push_back(algorithm_label(alg) + "_stddev");
-  }
-  csv.set_header(std::move(header));
-  for (std::size_t group = 0; group < result.group_vertices.size(); ++group) {
-    std::vector<support::CsvCell> row{
-        static_cast<std::int64_t>(result.group_vertices[group])};
-    for (std::size_t a = 0; a < result.algorithms.size(); ++a) {
-      const auto& acc = select(result.cells[group][a], criterion);
-      row.emplace_back(acc.mean());
-      row.emplace_back(acc.stddev());
-    }
-    csv.add_row(std::move(row));
-  }
-  csv.write_file(path);
 }
 
 double overall_mean(const ExperimentResult& result, Algorithm alg,

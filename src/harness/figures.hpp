@@ -1,13 +1,12 @@
-// Figure emission: turns an ExperimentResult into (a) the console table a
+// Figure emission: turns an ExperimentResult into the console table a
 // bench binary prints — the terminal rendition of the paper's plotted
-// series — and (b) a CSV under bench_results/ for external plotting.
+// series (the JSON bench report carries the same series for plotting).
 //
 // Each figure in the paper is one criterion as a function of vertex count,
 // with one series per algorithm; `Criterion` selects which accumulator is
 // read.
 #pragma once
 
-#include <filesystem>
 #include <iosfwd>
 #include <string>
 
@@ -38,10 +37,6 @@ double criterion_stddev(const GroupStats& cell, Criterion criterion);
 /// the figure's plotted values.
 void print_series(std::ostream& os, const ExperimentResult& result,
                   Criterion criterion, const std::string& title);
-
-/// Writes the same series (mean and stddev per cell) as CSV.
-void write_series_csv(const std::filesystem::path& path,
-                      const ExperimentResult& result, Criterion criterion);
 
 /// A shape check: mean of `criterion` over all groups with at least
 /// `min_vertices` vertices for one algorithm — used by benches to print

@@ -6,24 +6,14 @@
 
 namespace acolay::layering {
 
-LayerWidths::LayerWidths(const graph::Digraph& g, const Layering& l,
-                         int num_layers, double dummy_width)
-    : dummy_width_(dummy_width) {
-  ACOLAY_CHECK(num_layers >= l.max_layer());
-  ACOLAY_CHECK(dummy_width >= 0.0);
-  width_ = layer_width_profile(g, l, dummy_width, /*include_dummies=*/true);
-  width_.resize(static_cast<std::size_t>(num_layers), 0.0);
-}
-
 void LayerWidths::reset(const graph::CsrView& g, const Layering& l,
                         int num_layers, double dummy_width) {
   const int max_layer = l.max_layer();
   ACOLAY_CHECK(num_layers >= max_layer);
   ACOLAY_CHECK(dummy_width >= 0.0);
   dummy_width_ = dummy_width;
-  // In-place equivalent of the constructor's layer_width_profile + pad:
-  // one shared accumulation (detail::width_profile_into), reusing this
-  // instance's buffers.
+  // One shared accumulation with layer_width_profile
+  // (detail::width_profile_into), reusing this instance's buffers.
   detail::width_profile_into(g, l, dummy_width, /*include_dummies=*/true,
                              max_layer, num_layers, width_, diff_);
 }
@@ -33,8 +23,15 @@ double LayerWidths::max_width() const {
   return *std::max_element(width_.begin(), width_.end());
 }
 
-void LayerWidths::apply_move_deltas(double vertex_width, double out_delta,
-                                    double in_delta, int from, int to) {
+void LayerWidths::apply_move(const graph::CsrView& g, graph::VertexId v,
+                             int from, int to) {
+  ACOLAY_DCHECK(from >= 1 && from <= num_layers());
+  ACOLAY_DCHECK(to >= 1 && to <= num_layers());
+  if (from == to) return;
+  const double vertex_width = g.width(v);
+  const double out_delta =
+      dummy_width_ * static_cast<double>(g.out_degree(v));
+  const double in_delta = dummy_width_ * static_cast<double>(g.in_degree(v));
   width_[static_cast<std::size_t>(from - 1)] -= vertex_width;
   width_[static_cast<std::size_t>(to - 1)] += vertex_width;
 
@@ -57,28 +54,6 @@ void LayerWidths::apply_move_deltas(double vertex_width, double out_delta,
       width_[static_cast<std::size_t>(layer - 1)] += in_delta;
     }
   }
-}
-
-void LayerWidths::apply_move(const graph::Digraph& g, graph::VertexId v,
-                             int from, int to) {
-  ACOLAY_CHECK(from >= 1 && from <= num_layers());
-  ACOLAY_CHECK(to >= 1 && to <= num_layers());
-  if (from == to) return;
-  apply_move_deltas(g.width(v),
-                    dummy_width_ * static_cast<double>(g.out_degree(v)),
-                    dummy_width_ * static_cast<double>(g.in_degree(v)), from,
-                    to);
-}
-
-void LayerWidths::apply_move(const graph::CsrView& g, graph::VertexId v,
-                             int from, int to) {
-  ACOLAY_DCHECK(from >= 1 && from <= num_layers());
-  ACOLAY_DCHECK(to >= 1 && to <= num_layers());
-  if (from == to) return;
-  apply_move_deltas(g.width(v),
-                    dummy_width_ * static_cast<double>(g.out_degree(v)),
-                    dummy_width_ * static_cast<double>(g.in_degree(v)), from,
-                    to);
 }
 
 }  // namespace acolay::layering

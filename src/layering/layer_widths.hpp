@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "graph/digraph.hpp"
 #include "layering/layering.hpp"
 
 namespace acolay::layering {
@@ -37,15 +36,12 @@ class LayerWidths {
   /// An empty profile; fill with reset() before use.
   LayerWidths() = default;
 
-  /// Builds the width profile of `l` over `num_layers` layers (>= max
-  /// layer), including dummy contributions at `dummy_width` per dummy.
-  LayerWidths(const graph::Digraph& g, const Layering& l, int num_layers,
-              double dummy_width);
-
-  /// Rebuilds the profile in place, reusing the existing buffers — the
-  /// per-walk initialisation of the ACO hot path, allocation-free once the
-  /// buffers have reached their high-water size. Produces exactly the
-  /// widths the constructor would.
+  /// (Re)builds the width profile of `l` over `num_layers` layers (>= max
+  /// layer), including dummy contributions at `dummy_width` per dummy, in
+  /// place — the per-walk initialisation of the ACO hot path,
+  /// allocation-free once the buffers have reached their high-water size.
+  /// Produces exactly layer_width_profile's widths, padded with empty
+  /// layers up to `num_layers`.
   void reset(const graph::CsrView& g, const Layering& l, int num_layers,
              double dummy_width);
 
@@ -82,12 +78,8 @@ class LayerWidths {
   double max_width() const;
 
   /// Applies the Algorithm 5 update for moving `v` from layer `from` to
-  /// layer `to`. Both layers must be within range; `from == to` is a no-op.
-  void apply_move(const graph::Digraph& g, graph::VertexId v, int from,
-                  int to);
-
-  /// CSR-view overload used by the ant's inner loop (bounds checked in
-  /// debug builds only).
+  /// layer `to`. Both layers must be within range (checked in debug builds
+  /// only: this is the ant's inner loop); `from == to` is a no-op.
   void apply_move(const graph::CsrView& g, graph::VertexId v, int from,
                   int to);
 
@@ -95,9 +87,6 @@ class LayerWidths {
   const std::vector<double>& profile() const { return width_; }
 
  private:
-  void apply_move_deltas(double vertex_width, double out_delta,
-                         double in_delta, int from, int to);
-
   std::vector<double> width_;
   std::vector<double> diff_;  // reset() scratch for the dummy prefix
   double dummy_width_ = 0.0;

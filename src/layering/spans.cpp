@@ -47,15 +47,6 @@ LayerSpan compute_span(const graph::CsrView& g, const Layering& l,
   return span_of(g, l, v, num_layers);
 }
 
-SpanTable::SpanTable(const graph::Digraph& g, const Layering& l,
-                     int num_layers)
-    : spans_(g.num_vertices()), num_layers_(num_layers) {
-  for (graph::VertexId v = 0;
-       static_cast<std::size_t>(v) < g.num_vertices(); ++v) {
-    spans_[static_cast<std::size_t>(v)] = compute_span(g, l, v, num_layers);
-  }
-}
-
 void SpanTable::reset(const graph::CsrView& g, const Layering& l,
                       int num_layers) {
   num_layers_ = num_layers;
@@ -66,21 +57,9 @@ void SpanTable::reset(const graph::CsrView& g, const Layering& l,
   }
 }
 
-void SpanTable::refresh(const graph::Digraph& g, const Layering& l,
-                        graph::VertexId v) {
-  spans_[static_cast<std::size_t>(v)] = compute_span(g, l, v, num_layers_);
-}
-
 void SpanTable::refresh(const graph::CsrView& g, const Layering& l,
                         graph::VertexId v) {
   spans_[static_cast<std::size_t>(v)] = compute_span(g, l, v, num_layers_);
-}
-
-void SpanTable::refresh_around(const graph::Digraph& g, const Layering& l,
-                               graph::VertexId moved) {
-  refresh(g, l, moved);
-  for (const graph::VertexId w : g.successors(moved)) refresh(g, l, w);
-  for (const graph::VertexId p : g.predecessors(moved)) refresh(g, l, p);
 }
 
 void SpanTable::refresh_around(const graph::CsrView& g, const Layering& l,

@@ -40,17 +40,16 @@ LayerSpan compute_span(const graph::Digraph& g, const Layering& l,
 LayerSpan compute_span(const graph::CsrView& g, const Layering& l,
                        graph::VertexId v, int num_layers);
 
-/// Cached spans for all vertices with per-vertex refresh.
+/// Cached spans for all vertices with per-vertex refresh, over a frozen
+/// CSR view (the ACO hot path).
 class SpanTable {
  public:
   /// An empty table; fill with reset() before use.
   SpanTable() = default;
 
-  /// Computes every vertex's span for `l` over `num_layers` layers.
-  SpanTable(const graph::Digraph& g, const Layering& l, int num_layers);
-
-  /// Recomputes every span in place, reusing the table's storage — the
-  /// per-walk initialisation of the ACO hot path.
+  /// (Re)computes every vertex's span for `l` over `num_layers` layers in
+  /// place, reusing the table's storage — the per-walk initialisation of
+  /// the ACO hot path.
   void reset(const graph::CsrView& g, const Layering& l, int num_layers);
 
   /// Pre-grows the table for graphs of up to `num_vertices` vertices.
@@ -66,16 +65,10 @@ class SpanTable {
 
   /// Recomputes the span of `v` (call for every neighbour of a moved
   /// vertex, per paper Alg. 4 lines 9–11).
-  void refresh(const graph::Digraph& g, const Layering& l,
-               graph::VertexId v);
-  /// CSR-view overload of refresh (the ACO hot path).
   void refresh(const graph::CsrView& g, const Layering& l, graph::VertexId v);
 
   /// Refreshes the spans of every neighbour of `moved` and of `moved`
   /// itself.
-  void refresh_around(const graph::Digraph& g, const Layering& l,
-                      graph::VertexId moved);
-  /// CSR-view overload of refresh_around (the ACO hot path).
   void refresh_around(const graph::CsrView& g, const Layering& l,
                       graph::VertexId moved);
 

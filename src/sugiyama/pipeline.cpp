@@ -2,6 +2,7 @@
 
 #include "core/colony.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/cycle_removal.hpp"
 #include "support/check.hpp"
 
 namespace acolay::sugiyama {
@@ -10,7 +11,7 @@ Layout compute_layout(const graph::Digraph& g, const LayoutOptions& opts) {
   Layout layout;
 
   // 1. Cycle removal (no-op for DAGs).
-  auto acyclic = make_acyclic(g);
+  auto acyclic = graph::make_acyclic(g);
   layout.dag = std::move(acyclic.dag);
   layout.reversed_edges = std::move(acyclic.reversed_edges);
 
@@ -23,7 +24,7 @@ Layout compute_layout(const graph::Digraph& g, const LayoutOptions& opts) {
                                                         layout.layering));
     layering::normalize(layout.layering);
   } else {
-    layout.layering = core::aco_layering(layout.dag, opts.aco);
+    layout.layering = core::AntColony(layout.dag, opts.aco).run().layering;
   }
   layout.metrics = layering::compute_metrics(
       layout.dag, layout.layering, layering::MetricsOptions{opts.dummy_width});

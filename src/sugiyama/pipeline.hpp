@@ -20,7 +20,6 @@
 #include "layering/metrics.hpp"
 #include "layering/proper.hpp"
 #include "sugiyama/coordinates.hpp"
-#include "sugiyama/cycle_removal.hpp"
 #include "sugiyama/ordering.hpp"
 #include "sugiyama/svg.hpp"
 

@@ -12,18 +12,31 @@
 namespace acolay::core {
 namespace {
 
+/// A graph's frozen CSR view, its stretched-LPL start layering, and one
+/// reusable walk workspace — the state a colony hands each ant.
 struct WalkFixture {
   graph::Digraph g;
+  graph::CsrView csr;
   layering::Layering base;
   int num_layers = 0;
+  WalkWorkspace ws;
 
   explicit WalkFixture(const graph::Digraph& graph,
                        StretchMode mode = StretchMode::kBetweenLayers)
-      : g(graph) {
+      : g(graph), csr(g) {
     const auto lpl = baselines::longest_path_layering(g);
     auto stretched = stretch_layering(g, lpl, mode);
     base = stretched.layering;
     num_layers = std::max(stretched.num_layers, 1);
+  }
+
+  /// One walk from `base` on the rng stream `seed`.
+  WalkResult walk(const PheromoneMatrix& tau, const AcoParams& params,
+                  std::uint64_t seed) {
+    WalkResult result;
+    perform_walk(csr, base, num_layers, tau, params, support::Rng(seed), ws,
+                 result);
+    return result;
   }
 };
 
@@ -33,8 +46,7 @@ TEST(AntWalk, ProducesValidLayeringOnBattery) {
   for (const auto& g : test::random_battery()) {
     WalkFixture fx(g);
     const PheromoneMatrix tau(g.num_vertices(), fx.num_layers, params.tau0);
-    const auto walk = perform_walk(g, fx.base, fx.num_layers, tau, params,
-                                   support::Rng(11));
+    const auto walk = fx.walk(tau, params, 11);
     EXPECT_TRUE(layering::is_valid_layering(g, walk.layering))
         << layering::validate_layering(g, walk.layering);
     EXPECT_GT(walk.objective, 0.0);
@@ -46,8 +58,7 @@ TEST(AntWalk, ObjectiveMatchesCompactedMetrics) {
   WalkFixture fx(g);
   const AcoParams params;
   const PheromoneMatrix tau(g.num_vertices(), fx.num_layers, params.tau0);
-  const auto walk =
-      perform_walk(g, fx.base, fx.num_layers, tau, params, support::Rng(3));
+  const auto walk = fx.walk(tau, params, 3);
   const auto compact = layering::normalized(walk.layering);
   const auto metrics = layering::compute_metrics(
       g, compact, layering::MetricsOptions{params.dummy_width});
@@ -61,10 +72,8 @@ TEST(AntWalk, DeterministicGivenRngStream) {
   WalkFixture fx(g);
   const AcoParams params;
   const PheromoneMatrix tau(g.num_vertices(), fx.num_layers, params.tau0);
-  const auto a =
-      perform_walk(g, fx.base, fx.num_layers, tau, params, support::Rng(9));
-  const auto b =
-      perform_walk(g, fx.base, fx.num_layers, tau, params, support::Rng(9));
+  const auto a = fx.walk(tau, params, 9);
+  const auto b = fx.walk(tau, params, 9);
   EXPECT_EQ(a.layering, b.layering);
   EXPECT_DOUBLE_EQ(a.objective, b.objective);
   EXPECT_EQ(a.moves, b.moves);
@@ -83,8 +92,7 @@ TEST(AntWalk, PureHeuristicPrefersEmptierLayers) {
   const layering::MetricsOptions opts{params.dummy_width};
   const double base_width =
       layering::layering_width(g, layering::normalized(fx.base), opts);
-  const auto walk =
-      perform_walk(g, fx.base, fx.num_layers, tau, params, support::Rng(1));
+  const auto walk = fx.walk(tau, params, 1);
   EXPECT_LE(walk.metrics.width_incl_dummies, base_width);
 }
 
@@ -102,8 +110,7 @@ TEST(AntWalk, PurePheromoneFollowsTrail) {
        static_cast<std::size_t>(v) < g.num_vertices(); ++v) {
     tau.deposit(v, fx.base.layer(v), 10.0);
   }
-  const auto walk =
-      perform_walk(g, fx.base, fx.num_layers, tau, params, support::Rng(2));
+  const auto walk = fx.walk(tau, params, 2);
   EXPECT_EQ(walk.layering, fx.base);
   EXPECT_EQ(walk.moves, 0);
 }
@@ -114,8 +121,7 @@ TEST(AntWalk, RouletteSelectionStaysValid) {
   for (const auto& g : test::random_battery(10)) {
     WalkFixture fx(g);
     const PheromoneMatrix tau(g.num_vertices(), fx.num_layers, params.tau0);
-    const auto walk = perform_walk(g, fx.base, fx.num_layers, tau, params,
-                                   support::Rng(21));
+    const auto walk = fx.walk(tau, params, 21);
     EXPECT_TRUE(layering::is_valid_layering(g, walk.layering));
   }
 }
@@ -132,8 +138,7 @@ TEST(AntWalk, MaxWidthConstraintRespectedWhenFeasible) {
   params.beta = 2.0;
   params.max_width = 6.0;
   const PheromoneMatrix tau(g.num_vertices(), fx.num_layers, params.tau0);
-  const auto walk =
-      perform_walk(g, fx.base, fx.num_layers, tau, params, support::Rng(7));
+  const auto walk = fx.walk(tau, params, 7);
   EXPECT_TRUE(layering::is_valid_layering(g, walk.layering));
 }
 
@@ -144,24 +149,22 @@ TEST(AntWalk, FixedPointWhenNoLayersAvailable) {
   WalkFixture fx(g);
   const AcoParams params;
   const PheromoneMatrix tau(g.num_vertices(), fx.num_layers, params.tau0);
-  const auto walk =
-      perform_walk(g, fx.base, fx.num_layers, tau, params, support::Rng(4));
+  const auto walk = fx.walk(tau, params, 4);
   EXPECT_EQ(walk.moves, 0);
   EXPECT_EQ(walk.layering, fx.base);
 }
 
 TEST(AntWalk, EmptyGraph) {
-  graph::Digraph g;
+  WalkFixture fx{graph::Digraph{}};
   const AcoParams params;
-  const PheromoneMatrix tau(0, 1, params.tau0);
-  const auto walk = perform_walk(g, layering::Layering(0), 1, tau, params,
-                                 support::Rng(1));
+  const PheromoneMatrix tau(0, fx.num_layers, params.tau0);
+  const auto walk = fx.walk(tau, params, 1);
   EXPECT_EQ(walk.layering.num_vertices(), 0u);
 }
 
 TEST(AntWalk, SteadyStateWalkIsAllocationFree) {
-  // Pins the zero-allocation claim on the CSR overload's contract: once
-  // the workspace is reserved for (num_vertices, num_layers), walks are
+  // Pins the zero-allocation claim on the walk's contract: once the
+  // workspace is reserved for (num_vertices, num_layers), walks are
   // heap-silent — for any rng stream, not just a replay. (Warm-up alone is
   // not enough: a different stream evolves different layer spans, so the
   // per-vertex score buffer's high-water mark is stream-dependent; that is
@@ -172,22 +175,21 @@ TEST(AntWalk, SteadyStateWalkIsAllocationFree) {
   WalkFixture fx(g);
   const AcoParams params;
   const PheromoneMatrix tau(g.num_vertices(), fx.num_layers, params.tau0);
-  const graph::CsrView csr(g);
-  WalkWorkspace ws;
-  ws.reserve(g.num_vertices(), static_cast<std::size_t>(fx.num_layers));
+  fx.ws.reserve(g.num_vertices(), static_cast<std::size_t>(fx.num_layers));
   WalkResult result;
-  perform_walk(csr, fx.base, fx.num_layers, tau, params, support::Rng(9), ws,
-               result);
+  perform_walk(fx.csr, fx.base, fx.num_layers, tau, params, support::Rng(9),
+               fx.ws, result);
   const auto expected = result.layering;
 
-  ACOLAY_ASSERT_NO_ALLOC(perform_walk(csr, fx.base, fx.num_layers, tau, params,
-                                      support::Rng(9), ws, result));
+  ACOLAY_ASSERT_NO_ALLOC(perform_walk(fx.csr, fx.base, fx.num_layers, tau,
+                                      params, support::Rng(9), fx.ws, result));
   EXPECT_EQ(result.layering, expected);
 
   // A *different* rng stream visits vertices in another order and makes
   // different moves, but the reserved buffers bound every stream.
-  ACOLAY_ASSERT_NO_ALLOC(perform_walk(csr, fx.base, fx.num_layers, tau, params,
-                                      support::Rng(1234), ws, result));
+  ACOLAY_ASSERT_NO_ALLOC(perform_walk(fx.csr, fx.base, fx.num_layers, tau,
+                                      params, support::Rng(1234), fx.ws,
+                                      result));
   EXPECT_TRUE(layering::is_valid_layering(g, result.layering));
 }
 
@@ -203,10 +205,8 @@ TEST_P(AntWalkRules, AlwaysValidAndReproducible) {
   for (const auto& g : test::random_battery(8)) {
     WalkFixture fx(g);
     const PheromoneMatrix tau(g.num_vertices(), fx.num_layers, params.tau0);
-    const auto a = perform_walk(g, fx.base, fx.num_layers, tau, params,
-                                support::Rng(33));
-    const auto b = perform_walk(g, fx.base, fx.num_layers, tau, params,
-                                support::Rng(33));
+    const auto a = fx.walk(tau, params, 33);
+    const auto b = fx.walk(tau, params, 33);
     EXPECT_TRUE(layering::is_valid_layering(g, a.layering));
     EXPECT_EQ(a.layering, b.layering);
   }

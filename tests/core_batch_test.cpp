@@ -208,9 +208,7 @@ TEST(BatchSolver, RejectsCyclicGraphsAtAdmission) {
   cyclic.add_edge(1, 2);
   cyclic.add_edge(2, 0);
   core::BatchSolver solver;
-  // Structured path: the rejection is a born-finished outcome, not a
-  // throw (the deprecated shim's throwing behaviour is pinned in
-  // tests/core_request_test.cpp).
+  // The rejection is a born-finished outcome, not a throw.
   const auto id = test::submit_request(solver, cyclic, small_params());
   EXPECT_TRUE(solver.done(id));
   EXPECT_EQ(solver.wait_outcome(id).error, core::AdmissionError::kCycle);
@@ -276,18 +274,6 @@ TEST(BatchSolver, SolveAllSizeMismatchThrows) {
   std::vector<core::AcoParams> params(2, small_params());
   core::BatchSolver solver;
   EXPECT_THROW(solver.solve_all(graphs, params), support::CheckError);
-}
-
-TEST(SolveBatch, OneShotHelperMatchesSolver) {
-  const auto graphs = test::random_battery(4);
-  const auto params = small_params(99);
-  const auto helper = core::solve_batch(graphs, params);
-  core::BatchSolver solver;
-  const auto direct = solver.solve_all(graphs, params);
-  ASSERT_EQ(helper.size(), direct.size());
-  for (std::size_t i = 0; i < helper.size(); ++i) {
-    expect_same_result(helper[i], direct[i]);
-  }
 }
 
 }  // namespace

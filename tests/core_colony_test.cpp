@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "baselines/brute_force.hpp"
 #include "baselines/longest_path.hpp"
-#include "core/aco.hpp"
+#include "core/request.hpp"
 #include "layering/metrics.hpp"
 #include "test_util.hpp"
 
@@ -185,10 +188,35 @@ TEST(Colony, SingleVertex) {
   EXPECT_EQ(result.metrics.height, 1);
 }
 
-TEST(Colony, ConvenienceWrapperMatchesFullRun) {
-  const auto g = test::small_dag();
-  const auto params = fast_params(7);
-  EXPECT_EQ(aco_layering(g, params), AntColony(g, params).run().layering);
+TEST(Colony, CopiesOutliveTheSourceUnderCyclePolicies) {
+  // Under a non-reject policy the colony owns Phase 0's reoriented DAG.
+  // Copies and moves must carry their own: run after the source is gone
+  // (ASan flags any read through it) and still equal core::solve.
+  graph::Digraph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 0);
+  for (const CyclePolicy policy :
+       {CyclePolicy::kGreedyReverse, CyclePolicy::kAcoFas}) {
+    auto source = std::make_unique<AntColony>(g, fast_params(), policy);
+    const AntColony copied = *source;
+    const AntColony moved = std::move(*source);
+    source.reset();
+
+    SolveRequest request;
+    request.graph = &g;
+    request.params = fast_params();
+    request.cycle_policy = policy;
+    const SolveOutcome direct = solve(request);
+    ASSERT_TRUE(direct.ok());
+    for (const AntColony* colony : {&copied, &moved}) {
+      const AcoResult result = colony->run();
+      EXPECT_EQ(colony->reversed_edges(), direct.reversed_edges);
+      EXPECT_EQ(result.layering, direct.result.layering);
+      EXPECT_EQ(result.metrics.objective, direct.result.metrics.objective);
+      EXPECT_EQ(result.initial_objective, direct.result.initial_objective);
+    }
+  }
 }
 
 /// Stretch-mode sweep: the colony must be valid and no worse than its start

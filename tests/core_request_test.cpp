@@ -1,7 +1,7 @@
 // The unified SolveRequest/SolveOutcome surface: one admission gate for
 // every entry point, structured errors instead of exceptions, and the
 // guarantee that the structured paths produce bit-identical results to
-// the original throwing APIs they wrap.
+// the throwing AntColony facade.
 #include "core/request.hpp"
 
 #include <gtest/gtest.h>
@@ -136,13 +136,6 @@ TEST(StructuredSolve, WarmTauRoundTripsThroughTheRun) {
   EXPECT_EQ(warm.result.layering.num_vertices(), g.num_vertices());
 }
 
-// The next two tests pin the deprecated throwing shims' behaviour on
-// purpose — they are the shims' only remaining coverage (rejections still
-// throw, legacy and structured paths stay bit-identical), so the
-// deprecation warnings are silenced here and nowhere else.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 TEST(BatchSolverRequests, AdmissionFailuresAreOutcomesNotExceptions) {
   BatchSolver solver(BatchOptions{.num_threads = 2});
   const auto loop = cyclic();
@@ -161,32 +154,7 @@ TEST(BatchSolverRequests, AdmissionFailuresAreOutcomesNotExceptions) {
   const SolveOutcome& solved = solver.wait_outcome(ok);
   ASSERT_TRUE(solved.ok());
   EXPECT_EQ(solved.result.layering.num_vertices(), g.num_vertices());
-
-  // The legacy accessors surface the structured rejection as the throw
-  // they always promised.
-  EXPECT_THROW(solver.wait(rejected), support::CheckError);
 }
-
-TEST(BatchSolverRequests, StructuredPathMatchesLegacyPathBitExactly) {
-  const auto battery = test::random_battery(6, 0xbeef);
-  AcoParams params;
-  params.num_tours = 3;
-
-  BatchSolver legacy(BatchOptions{.num_threads = 2});
-  BatchSolver structured(BatchOptions{.num_threads = 2});
-  for (std::size_t i = 0; i < battery.size(); ++i) {
-    params.seed = 1000 + i;
-    const BatchJobId a = legacy.submit(battery[i], params);
-    SolveRequest request;
-    request.graph = &battery[i];
-    request.params = params;
-    const BatchJobId b = structured.submit(request);
-    EXPECT_EQ(legacy.wait(a).layering.raw(),
-              structured.wait_outcome(b).result.layering.raw());
-  }
-}
-
-#pragma GCC diagnostic pop
 
 TEST(BatchSolverRequests, CollectOutcomeShedsAndGuardsDoubleCollect) {
   BatchSolver solver(BatchOptions{.num_threads = 1});

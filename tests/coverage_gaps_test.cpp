@@ -8,7 +8,7 @@
 // instead of bare file:line pairs.
 #include <gtest/gtest.h>
 
-#include "core/aco.hpp"
+#include "core/colony.hpp"
 #include "gen/random_dag.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/properties.hpp"
@@ -150,13 +150,11 @@ TEST(AcoParams, MaxWidthNeverWedgesTheWalk) {
 
 TEST(Metrics, EdgeDensityNormalisedBounds) {
   COVERS("acolay::layering::edge_density_normalized");
+  core::AcoParams params;
+  params.num_ants = 3;
+  params.num_tours = 2;
   for (const auto& g : test::random_battery(6)) {
-    const auto l = core::aco_layering(g, [] {
-      core::AcoParams p;
-      p.num_ants = 3;
-      p.num_tours = 2;
-      return p;
-    }());
+    const auto l = core::AntColony(g, params).run().layering;
     const double norm = layering::edge_density_normalized(g, l);
     EXPECT_GE(norm, 0.0);
     EXPECT_LE(norm, 1.0);

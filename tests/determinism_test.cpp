@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "harness/experiment.hpp"
 #include "harness/figures.hpp"
 #include "support/alloc_guard.hpp"
+#include "support/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace acolay {
@@ -181,18 +183,22 @@ TEST(Determinism, SteadyStateColonyTourIsAllocationFree) {
 }
 
 TEST(Determinism, ColonyRerunWithWarmWorkspacesIsBitIdentical) {
-  // run() reuses the colony's per-ant workspaces across calls: a second
-  // run on warm (high-water-sized) buffers must reproduce the first run
-  // bit for bit, at every thread count.
+  // run_colony resets a reused ColonyWorkspace in place (BatchSolver's
+  // workers and IncrementalSolver rely on this): a second run on warm
+  // (high-water-sized) buffers must reproduce the first run bit for bit,
+  // serially and on an ant pool of every size.
   const auto corpus = seeded_corpus();
   const auto& g = corpus.graphs[corpus.graphs.size() / 2];
+  const graph::CsrView csr(g);
   for (const int threads : thread_counts()) {
     core::AcoParams params;
     params.seed = 20070326;
-    params.num_threads = threads;
-    core::AntColony colony(g, params);
-    const auto cold = colony.run();
-    const auto warm = colony.run();
+    std::optional<support::ThreadPool> pool;
+    if (threads != 1) pool.emplace(static_cast<std::size_t>(threads));
+    support::ThreadPool* ant_pool = pool ? &*pool : nullptr;
+    core::ColonyWorkspace ws;
+    const auto cold = core::run_colony(g, csr, params, ws, ant_pool);
+    const auto warm = core::run_colony(g, csr, params, ws, ant_pool);
     ASSERT_EQ(cold.layering.num_vertices(), warm.layering.num_vertices());
     for (std::size_t v = 0; v < cold.layering.num_vertices(); ++v) {
       ASSERT_EQ(cold.layering.layer(static_cast<graph::VertexId>(v)),

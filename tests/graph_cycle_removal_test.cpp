@@ -1,12 +1,12 @@
 // Tests for greedy-FAS cycle removal.
-#include "sugiyama/cycle_removal.hpp"
+#include "graph/cycle_removal.hpp"
 
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
 #include "test_util.hpp"
 
-namespace acolay::sugiyama {
+namespace acolay::graph {
 namespace {
 
 TEST(CycleRemoval, DagPassesThroughUnchanged) {
@@ -17,22 +17,22 @@ TEST(CycleRemoval, DagPassesThroughUnchanged) {
 }
 
 TEST(CycleRemoval, BreaksSimpleCycle) {
-  graph::Digraph g(3);
+  Digraph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(2, 0);
   const auto result = make_acyclic(g);
-  EXPECT_TRUE(graph::is_dag(result.dag));
+  EXPECT_TRUE(is_dag(result.dag));
   EXPECT_EQ(result.reversed_edges.size(), 1u);
   EXPECT_EQ(result.dag.num_edges(), 3u);
 }
 
 TEST(CycleRemoval, TwoCycleFoldsToSingleEdge) {
-  graph::Digraph g(2);
+  Digraph g(2);
   g.add_edge(0, 1);
   g.add_edge(1, 0);
   const auto result = make_acyclic(g);
-  EXPECT_TRUE(graph::is_dag(result.dag));
+  EXPECT_TRUE(is_dag(result.dag));
   EXPECT_EQ(result.dag.num_edges(), 1u);  // the reversal folds
 }
 
@@ -52,20 +52,20 @@ TEST(CycleRemoval, FasBoundOnRandomTournaments) {
   support::Rng rng(5150);
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 8 + rng.index(10);
-    graph::Digraph g(n);
+    Digraph g(n);
     for (std::size_t a = 0; a < n; ++a) {
       for (std::size_t b = a + 1; b < n; ++b) {
         if (rng.bernoulli(0.5)) {
-          g.add_edge(static_cast<graph::VertexId>(a),
-                     static_cast<graph::VertexId>(b));
+          g.add_edge(static_cast<VertexId>(a),
+                     static_cast<VertexId>(b));
         } else {
-          g.add_edge(static_cast<graph::VertexId>(b),
-                     static_cast<graph::VertexId>(a));
+          g.add_edge(static_cast<VertexId>(b),
+                     static_cast<VertexId>(a));
         }
       }
     }
     const auto result = make_acyclic(g);
-    EXPECT_TRUE(graph::is_dag(result.dag));
+    EXPECT_TRUE(is_dag(result.dag));
     const double bound = static_cast<double>(g.num_edges()) / 2.0 -
                          static_cast<double>(n) / 6.0;
     EXPECT_LE(static_cast<double>(result.reversed_edges.size()), bound + 1);
@@ -73,7 +73,7 @@ TEST(CycleRemoval, FasBoundOnRandomTournaments) {
 }
 
 TEST(CycleRemoval, PreservesAttributes) {
-  graph::Digraph g(2);
+  Digraph g(2);
   g.set_width(0, 3.0);
   g.set_label(1, "loop");
   g.add_edge(0, 1);
@@ -84,4 +84,4 @@ TEST(CycleRemoval, PreservesAttributes) {
 }
 
 }  // namespace
-}  // namespace acolay::sugiyama
+}  // namespace acolay::graph

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "harness/figures.hpp"
@@ -128,23 +126,6 @@ TEST(Figures, PrintSeriesHasOneRowPerGroup) {
   // 19 data rows: every group's vertex count appears.
   EXPECT_NE(text.find("\n10"), std::string::npos);
   EXPECT_NE(text.find("\n100"), std::string::npos);
-}
-
-TEST(Figures, CsvRoundTripsThroughFilesystem) {
-  const auto result = tiny_experiment();
-  const auto path = std::filesystem::temp_directory_path() /
-                    "acolay_test_series.csv";
-  write_series_csv(path, result, Criterion::kWidthInclDummies);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "vertices,LPL_mean,LPL_stddev,AntColony_mean,"
-                    "AntColony_stddev");
-  int rows = 0;
-  for (std::string line; std::getline(in, line);) ++rows;
-  EXPECT_EQ(rows, 19);
-  std::filesystem::remove(path);
 }
 
 TEST(Figures, OverallMeanRejectsForeignAlgorithm) {

@@ -89,12 +89,10 @@ TEST(Integration, JsonReportForAcoResultIsBalanced) {
 
 TEST(Integration, AsciiAndSvgAgreeOnLayerStructure) {
   const auto g = test::random_battery(1, 55).front();
-  const auto l = core::aco_layering(g, [] {
-    core::AcoParams p;
-    p.num_ants = 4;
-    p.num_tours = 3;
-    return p;
-  }());
+  core::AcoParams params;
+  params.num_ants = 4;
+  params.num_tours = 3;
+  const auto l = core::AntColony(g, params).run().layering;
   const auto ascii = sugiyama::render_ascii(g, l);
   // One "Lk|" row per occupied layer.
   std::size_t rows = 0, pos = 0;

@@ -1,6 +1,7 @@
 // Property tests for the Algorithm 5 incremental width update — the
 // correctness core of the ACO inner loop. Every randomised move sequence is
-// checked against a from-scratch recomputation of the width profile.
+// checked against a from-scratch recomputation of the width profile
+// (layer_width_profile over the Digraph, the reference implementation).
 #include "layering/layer_widths.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,14 @@
 
 namespace acolay::layering {
 namespace {
+
+/// The profile the ant starts from: LayerWidths::reset over a CSR view.
+LayerWidths widths_of(const graph::CsrView& csr, const Layering& l,
+                      int num_layers, double dummy_width) {
+  LayerWidths widths;
+  widths.reset(csr, l, num_layers, dummy_width);
+  return widths;
+}
 
 void expect_profile_matches(const graph::Digraph& g, const Layering& l,
                             const LayerWidths& widths, double dummy_width) {
@@ -29,7 +38,7 @@ void expect_profile_matches(const graph::Digraph& g, const Layering& l,
 TEST(LayerWidths, InitialProfileMatchesMetrics) {
   const auto g = test::triangle_with_long_edge();
   const auto l = Layering::from_vector({1, 2, 3});
-  const LayerWidths widths(g, l, 5, 1.0);
+  const auto widths = widths_of(graph::CsrView(g), l, 5, 1.0);
   EXPECT_DOUBLE_EQ(widths.width(1), 1.0);
   EXPECT_DOUBLE_EQ(widths.width(2), 2.0);  // vertex 1 + dummy of (2,0)
   EXPECT_DOUBLE_EQ(widths.width(3), 1.0);
@@ -40,11 +49,12 @@ TEST(LayerWidths, InitialProfileMatchesMetrics) {
 TEST(LayerWidths, MoveUpHandWorked) {
   // Diamond on 4 layers; move vertex 1 from layer 2 to layer 3.
   const auto g = test::diamond();
+  const graph::CsrView csr(g);
   auto l = Layering::from_vector({1, 2, 2, 4});
-  LayerWidths widths(g, l, 4, 1.0);
+  auto widths = widths_of(csr, l, 4, 1.0);
   // Before: L1={0}, L2={1,2}, L3={dummies of (3,1),(3,2)}, L4={3}.
   EXPECT_DOUBLE_EQ(widths.width(3), 2.0);
-  widths.apply_move(g, 1, 2, 3);
+  widths.apply_move(csr, 1, 2, 3);
   l.set_layer(1, 3);
   // After: vertex 1 on L3; edge (3,1) no longer crosses L3; edge (1,0)
   // now crosses L2.
@@ -54,32 +64,39 @@ TEST(LayerWidths, MoveUpHandWorked) {
 }
 
 TEST(LayerWidths, MoveDownIsInverseOfMoveUp) {
-  const auto g = test::diamond();
-  auto l = Layering::from_vector({1, 2, 2, 4});
-  LayerWidths widths(g, l, 4, 1.0);
+  const graph::CsrView csr(test::diamond());
+  const auto l = Layering::from_vector({1, 2, 2, 4});
+  auto widths = widths_of(csr, l, 4, 1.0);
   const auto before = widths.profile();
-  widths.apply_move(g, 1, 2, 3);
-  widths.apply_move(g, 1, 3, 2);
+  widths.apply_move(csr, 1, 2, 3);
+  widths.apply_move(csr, 1, 3, 2);
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_NEAR(widths.profile()[i], before[i], 1e-9);
   }
 }
 
 TEST(LayerWidths, MoveToSameLayerIsNoop) {
-  const auto g = test::diamond();
+  const graph::CsrView csr(test::diamond());
   const auto l = Layering::from_vector({1, 2, 2, 4});
-  LayerWidths widths(g, l, 4, 1.0);
+  auto widths = widths_of(csr, l, 4, 1.0);
   const auto before = widths.profile();
-  widths.apply_move(g, 1, 2, 2);
+  widths.apply_move(csr, 1, 2, 2);
   EXPECT_EQ(widths.profile(), before);
 }
 
 TEST(LayerWidths, OutOfRangeLayersRejected) {
-  const auto g = test::diamond();
+  const graph::CsrView csr(test::diamond());
   const auto l = Layering::from_vector({1, 2, 2, 4});
-  LayerWidths widths(g, l, 4, 1.0);
-  EXPECT_THROW(widths.apply_move(g, 1, 2, 5), support::CheckError);
-  EXPECT_THROW(widths.apply_move(g, 1, 0, 2), support::CheckError);
+  auto widths = widths_of(csr, l, 4, 1.0);
+  EXPECT_THROW(widths.width(5), support::CheckError);
+  EXPECT_THROW(widths.width(0), support::CheckError);
+  EXPECT_THROW(widths.reset(csr, l, 3, 1.0), support::CheckError);
+#ifndef NDEBUG
+  // apply_move is the ant's inner loop, so it checks its layers with
+  // ACOLAY_DCHECK: debug builds only.
+  EXPECT_THROW(widths.apply_move(csr, 1, 2, 5), support::CheckError);
+  EXPECT_THROW(widths.apply_move(csr, 1, 0, 2), support::CheckError);
+#endif
 }
 
 /// The central property: arbitrary span-respecting move sequences keep the
@@ -97,8 +114,10 @@ TEST_P(LayerWidthsProperty, RandomMoveSequencesMatchRecompute) {
         core::StretchMode::kBetweenLayers);
     auto l = stretched.layering;
     const int num_layers = std::max(stretched.num_layers, 1);
-    LayerWidths widths(g, l, num_layers, dummy_width);
-    SpanTable spans(g, l, num_layers);
+    const graph::CsrView csr(g);
+    auto widths = widths_of(csr, l, num_layers, dummy_width);
+    SpanTable spans;
+    spans.reset(csr, l, num_layers);
 
     const int moves = 3 * n;
     for (int step = 0; step < moves; ++step) {
@@ -108,9 +127,9 @@ TEST_P(LayerWidthsProperty, RandomMoveSequencesMatchRecompute) {
       const int target =
           static_cast<int>(rng.uniform_int(span.lo, span.hi));
       const int current = l.layer(v);
-      widths.apply_move(g, v, current, target);
+      widths.apply_move(csr, v, current, target);
       l.set_layer(v, target);
-      spans.refresh_around(g, l, v);
+      spans.refresh_around(csr, l, v);
       ASSERT_TRUE(is_valid_layering(g, l));
     }
     expect_profile_matches(g, l, widths, dummy_width);

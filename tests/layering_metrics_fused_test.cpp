@@ -154,55 +154,54 @@ TEST(FusedMetrics, RejectsVertexCountMismatch) {
 }
 
 TEST(LayerWidthsReset, MatchesConstructorProfile) {
+  // reset() must reproduce layer_width_profile (padded to num_layers) bit
+  // for bit — including on an instance whose buffers incremental moves
+  // have already dirtied.
   support::Rng rng(271828);
   LayerWidths reused;  // one instance across the battery
+  const auto reference = [](const graph::Digraph& g, const Layering& l,
+                            int num_layers, double dummy_width) {
+    auto profile = layer_width_profile(g, l, dummy_width, true);
+    profile.resize(static_cast<std::size_t>(num_layers), 0.0);
+    return profile;
+  };
   for (const auto& g : test::random_battery(16, 2024)) {
     int num_layers = 0;
     const auto l = random_valid_layering(g, &num_layers, rng);
     const graph::CsrView csr(g);
     for (const double dummy_width : {1.0, 0.0}) {
-      const LayerWidths reference(g, l, num_layers, dummy_width);
       reused.reset(csr, l, num_layers, dummy_width);
-      ASSERT_EQ(reused.num_layers(), reference.num_layers());
-      for (int layer = 1; layer <= num_layers; ++layer) {
-        EXPECT_EQ(reused.width(layer), reference.width(layer))
-            << "layer " << layer;
-      }
-      // Incremental updates through the CSR overload must track the
-      // Digraph overload exactly.
-      LayerWidths moved(g, l, num_layers, dummy_width);
-      Layering scratch = l;
+      EXPECT_EQ(reused.profile(), reference(g, l, num_layers, dummy_width));
+      Layering moved = l;
       for (graph::VertexId v = 0;
            static_cast<std::size_t>(v) < g.num_vertices(); ++v) {
-        const auto span = compute_span(csr, scratch, v, num_layers);
+        const auto span = compute_span(csr, moved, v, num_layers);
         const int target = span.lo + static_cast<int>(rng.index(
                                          static_cast<std::size_t>(
                                              span.size())));
-        const int current = scratch.layer(v);
-        moved.apply_move(g, v, current, target);
-        reused.apply_move(csr, v, current, target);
-        scratch.set_layer(v, target);
+        reused.apply_move(csr, v, moved.layer(v), target);
+        moved.set_layer(v, target);
       }
-      for (int layer = 1; layer <= num_layers; ++layer) {
-        EXPECT_EQ(reused.width(layer), moved.width(layer));
-      }
+      reused.reset(csr, moved, num_layers, dummy_width);
+      EXPECT_EQ(reused.profile(),
+                reference(g, moved, num_layers, dummy_width));
     }
   }
 }
 
 TEST(SpanTableReset, MatchesConstructorSpans) {
+  // reset() must reproduce the Digraph compute_span of every vertex.
   support::Rng rng(141421);
   layering::SpanTable reused;
   for (const auto& g : test::random_battery(16, 77)) {
     int num_layers = 0;
     const auto l = random_valid_layering(g, &num_layers, rng);
-    const graph::CsrView csr(g);
-    const SpanTable reference(g, l, num_layers);
-    reused.reset(csr, l, num_layers);
-    EXPECT_EQ(reused.num_layers(), reference.num_layers());
+    reused.reset(graph::CsrView(g), l, num_layers);
+    EXPECT_EQ(reused.num_layers(), num_layers);
     for (graph::VertexId v = 0;
          static_cast<std::size_t>(v) < g.num_vertices(); ++v) {
-      EXPECT_EQ(reused.span(v), reference.span(v)) << "vertex " << v;
+      EXPECT_EQ(reused.span(v), compute_span(g, l, v, num_layers))
+          << "vertex " << v;
     }
   }
 }

@@ -34,8 +34,9 @@ TEST(Spans, CurrentLayerAlwaysInSpan) {
     auto stretched = core::stretch_layering(
         g, baselines::longest_path_layering(g),
         core::StretchMode::kBetweenLayers);
-    const SpanTable spans(g, stretched.layering,
-                          std::max(stretched.num_layers, 1));
+    SpanTable spans;
+    spans.reset(graph::CsrView(g), stretched.layering,
+                std::max(stretched.num_layers, 1));
     for (graph::VertexId v = 0;
          static_cast<std::size_t>(v) < g.num_vertices(); ++v) {
       EXPECT_TRUE(spans.span(v).contains(stretched.layering.layer(v)))
@@ -52,20 +53,21 @@ TEST(Spans, RefreshAroundMatchesFullRecompute) {
         core::StretchMode::kBetweenLayers);
     auto l = stretched.layering;
     const int num_layers = std::max(stretched.num_layers, 1);
-    SpanTable spans(g, l, num_layers);
+    const graph::CsrView csr(g);
+    SpanTable spans;
+    spans.reset(csr, l, num_layers);
     for (int step = 0; step < 40; ++step) {
       const auto v = static_cast<graph::VertexId>(
           rng.index(g.num_vertices()));
       const auto span = spans.span(v);
       l.set_layer(v, static_cast<int>(rng.uniform_int(span.lo, span.hi)));
-      spans.refresh_around(g, l, v);
-      // Full recomputation must agree for every vertex, not just the
-      // refreshed neighbourhood — spans depend only on direct neighbours,
-      // so refreshing the neighbourhood is sufficient.
-      const SpanTable fresh(g, l, num_layers);
+      spans.refresh_around(csr, l, v);
+      // Full recomputation over the Digraph must agree for every vertex,
+      // not just the refreshed neighbourhood — spans depend only on direct
+      // neighbours, so refreshing the neighbourhood is sufficient.
       for (graph::VertexId u = 0;
            static_cast<std::size_t>(u) < g.num_vertices(); ++u) {
-        ASSERT_EQ(spans.span(u), fresh.span(u))
+        ASSERT_EQ(spans.span(u), compute_span(g, l, u, num_layers))
             << "vertex " << u << " after moving " << v;
       }
     }

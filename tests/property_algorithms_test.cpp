@@ -9,7 +9,7 @@
 #include "baselines/min_width.hpp"
 #include "baselines/network_simplex.hpp"
 #include "baselines/promote.hpp"
-#include "core/aco.hpp"
+#include "core/colony.hpp"
 #include "core/refine.hpp"
 #include "gen/random_dag.hpp"
 #include "graph/algorithms.hpp"

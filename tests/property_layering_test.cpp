@@ -53,7 +53,7 @@ layering::Layering aco_result(const graph::Digraph& g, int bucket,
   params.num_ants = 3;
   params.num_tours = 2;
   params.seed = 555 + static_cast<std::uint64_t>(bucket * 1000 + index);
-  return core::aco_layering(g, params);
+  return core::AntColony(g, params).run().layering;
 }
 
 class LayeringPropertyTest : public ::testing::TestWithParam<int> {};

@@ -1,58 +1,16 @@
-// Tests for support/csv, support/table, support/string_util, support/timer.
+// Tests for support/table, support/string_util, support/timer.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "support/check.hpp"
-#include "support/csv.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 
 namespace acolay::support {
 namespace {
-
-TEST(Csv, EscapesOnlyWhenNeeded) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(Csv, WritesHeaderAndTypedCells) {
-  CsvWriter csv;
-  csv.set_header({"name", "value", "count"});
-  csv.add_row({std::string("x"), 1.5, std::int64_t{3}});
-  csv.add_row({std::string("y,z"), 0.25, std::int64_t{-1}});
-  std::ostringstream os;
-  csv.write(os);
-  EXPECT_EQ(os.str(), "name,value,count\nx,1.5,3\n\"y,z\",0.25,-1\n");
-}
-
-TEST(Csv, RejectsArityMismatch) {
-  CsvWriter csv;
-  csv.set_header({"a", "b"});
-  EXPECT_THROW(csv.add_row({std::string("only-one")}), CheckError);
-}
-
-TEST(Csv, WritesFileCreatingDirectories) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "acolay_csv_test_dir";
-  std::filesystem::remove_all(dir);
-  CsvWriter csv;
-  csv.set_header({"k"});
-  csv.add_row({std::int64_t{1}});
-  csv.write_file(dir / "sub" / "out.csv");
-  std::ifstream in(dir / "sub" / "out.csv");
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "k");
-  std::filesystem::remove_all(dir);
-}
 
 TEST(Table, AlignsColumns) {
   ConsoleTable table({"name", "value"});

@@ -13,9 +13,8 @@
 
 namespace acolay::test {
 
-/// Structured-path submit for tests: wraps (g, params) in a SolveRequest
-/// — the request-surface counterpart of the deprecated submit(g, params)
-/// shim. The graph must outlive the job (the solver borrows it).
+/// Submits (g, params) as a SolveRequest — the common case of most batch
+/// tests. The graph must outlive the job (the solver borrows it).
 inline core::BatchJobId submit_request(core::BatchSolver& solver,
                                        const graph::Digraph& g,
                                        const core::AcoParams& params) {
