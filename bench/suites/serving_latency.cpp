@@ -29,7 +29,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
@@ -304,9 +303,7 @@ harness::Suite serving_latency_suite() {
     server::Listener listener(mc_server, listener_options);
     std::string listen_error;
     ACOLAY_CHECK_MSG(listener.start(listen_error), listen_error.c_str());
-    std::atomic<bool> stop_listener{false};
-    std::thread listener_thread(
-        [&] { listener.run(stop_listener, nullptr); });
+    std::thread listener_thread([&] { listener.run(nullptr); });
 
     std::vector<double> mc_latency(kMcRequests, 0.0);
     std::vector<double> mc_objective(kMcRequests, 0.0);
@@ -340,7 +337,7 @@ harness::Suite serving_latency_suite() {
       });
     }
     for (auto& client : clients) client.join();
-    stop_listener.store(true);
+    listener.request_stop();
     listener_thread.join();
 
     double mc_served_sum = 0.0;

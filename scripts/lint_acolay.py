@@ -305,6 +305,20 @@ RULES: list[Rule] = [
         ),
     ),
     Rule(
+        name="no-poll-sleep",
+        pattern=re.compile(
+            r"\b(sleep_for|sleep_until|usleep|nanosleep)\b"
+            r"|\b(wait_for|wait_until)\s*\("
+        ),
+        message=(
+            "sleeping or timed waiting in library code: a tick adds its "
+            "period to every request it sits between. Block on the event "
+            "itself instead — poll(2) on an fd, a condition variable with "
+            "a predicate, or a completion hook."
+        ),
+        applies=_in("src/"),
+    ),
+    Rule(
         name="no-thread-unsafe-static",
         pattern=re.compile(r"\bstatic\s+(?!constexpr\b|const\b)\w[\w:<>,\s*&]*=\s*[^=]"),
         message=(

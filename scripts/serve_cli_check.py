@@ -14,8 +14,14 @@ was documented and silently ignored for two releases):
    flag, never a misleading "bad argument".
 3. **Behaviour**: --max-incremental-sessions actually caps the live
    delta-session count (a chain against an evicted session is rejected
-   `unknown_fingerprint` at cap 1 and succeeds at cap 4), and the socket
-   flags actually start a daemon that drains to exit 0 on SIGTERM.
+   `unknown_fingerprint` at cap 1 and succeeds at cap 4), the socket
+   flags actually start a daemon that drains to exit 0 on SIGTERM, and
+   the pipe shares that lifecycle: SIGTERM before end-of-input answers
+   an in-order prefix of the frames and exits 0, and --stats-every
+   prints on the pipe too. The pipe answers every line it reads (an
+   oversized one `rejected`, a last one without its newline), never
+   sheds a lone writer's burst as `overloaded`, and exits 1 when stdout
+   fails.
 
 Runs as the `serving.cli_contract` ctest case and inside the
 `serving-smoke` CI job.
@@ -31,6 +37,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 
 FAILURES: list[str] = []
 
@@ -259,6 +266,108 @@ def check_socket_lifecycle(binary: str, transport: str) -> None:
             os.unlink(sock)
 
 
+def check_pipe_drain(binary: str) -> None:
+    """SIGTERM before end-of-input drains the pipe: every frame already
+    read is answered, so stdout is whole lines answering a gap-free,
+    in-order prefix of the frames sent, and the daemon exits 0."""
+    edges = [[3, 1], [3, 2], [1, 0], [2, 0]]
+    ids = [f"p{i}" for i in range(300)]
+    burst = b"".join(frame(id=rid, graph={"num_vertices": 4, "edges": edges},
+                           params={"num_tours": 40, "seed": i})
+                     for i, rid in enumerate(ids))
+    proc = subprocess.Popen([binary, "--threads", "2"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL)
+    try:
+        proc.stdin.write(burst)  # fits the pipe buffer; stdin stays open
+        proc.stdin.flush()
+        first = proc.stdout.readline()
+        proc.send_signal(signal.SIGTERM)
+        rest = proc.stdout.read()
+        exit_code = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
+    out = first + rest
+    check(exit_code == 0, "pipe daemon drains to exit 0 on SIGTERM",
+          f"exit {exit_code}")
+    lines = out.split(b"\n")
+    whole = lines[-1] == b""
+    docs = [json.loads(line) for line in lines[:-1]] if whole else []
+    got = [doc.get("id") for doc in docs]
+    check(whole and 0 < len(got) and got == ids[:len(got)],
+          "pipe SIGTERM answers an in-order, gap-free prefix in whole lines",
+          f"{len(got)} responses, torn tail {not whole}: {got[:5]}...")
+    # The burst is far past --queue-depth (64), but the loop holds a
+    # connection's frames at its cap, so a lone pipe writer is never shed.
+    statuses = {doc.get("status") for doc in docs}
+    check(statuses <= {"ok"}, "pipe burst past --queue-depth is all ok",
+          f"statuses {sorted(map(str, statuses))}")
+
+
+def check_pipe_line_edges(binary: str) -> None:
+    """The pipe answers every line: one past the 8 MB frame cap is
+    `rejected` and serving goes on, and a last line without its newline
+    is still a frame."""
+    edges = [[1, 0]]
+    first = graph_frame("before", edges, warm=False)
+    last = graph_frame("after", edges, warm=False).rstrip(b"\n")
+    oversized = b"x" * (9 << 20) + b"\n"
+    proc = run(binary, [], stdin=first + oversized + last)
+    docs = [json.loads(line) for line in proc.stdout.splitlines()]
+    check(proc.returncode == 0 and len(docs) == 3
+          and docs[1].get("error") == "bad_request"
+          and docs[0].get("status") == docs[2].get("status") == "ok",
+          "pipe answers an oversized line `rejected` and keeps serving",
+          f"exit {proc.returncode}, responses {[d.get('status') for d in docs]}")
+    check(len(docs) == 3 and docs[2].get("id") == "after",
+          "pipe answers a last line that has no trailing newline",
+          f"ids {[d.get('id') for d in docs]}")
+
+
+def check_pipe_stdout_failure(binary: str) -> None:
+    """A pipe daemon whose stdout is gone reports it and exits non-zero
+    instead of looking finished."""
+    proc = subprocess.Popen([binary], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before any response exists
+    try:
+        _, stderr = proc.communicate(graph_frame("lost", [[1, 0]],
+                                                 warm=False), timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    check(proc.returncode == 1 and b"stdout failed" in stderr,
+          "pipe exits 1 with a message when stdout fails",
+          f"exit {proc.returncode}, stderr {stderr.decode(errors='replace')!r}")
+
+
+def check_pipe_stats_every(binary: str) -> None:
+    """--stats-every applies to the pipe as well as to sockets."""
+    proc = subprocess.Popen([binary, "--stats-every", "0.2"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        proc.stdin.write(graph_frame("s", [[1, 0]], warm=False))
+        proc.stdin.flush()
+        proc.stdout.readline()
+        time.sleep(0.6)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    lines = [ln for ln in stderr.decode(errors="replace").splitlines()
+             if '"connections_accepted"' in ln]
+    check(proc.returncode == 0 and len(lines) >= 1,
+          "--stats-every 0.2 prints stats lines over the pipe",
+          f"exit {proc.returncode}, {len(lines)} stats lines")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--binary", required=True,
@@ -278,6 +387,10 @@ def main() -> int:
     check_session_cap(args.binary)
     check_socket_lifecycle(args.binary, "tcp")
     check_socket_lifecycle(args.binary, "unix")
+    check_pipe_drain(args.binary)
+    check_pipe_line_edges(args.binary)
+    check_pipe_stdout_failure(args.binary)
+    check_pipe_stats_every(args.binary)
 
     if FAILURES:
         print(f"\n{len(FAILURES)} contract check(s) failed")

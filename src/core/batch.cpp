@@ -21,8 +21,14 @@ BatchSolver::~BatchSolver() {
   // (pool_ is destroyed first).
 }
 
+void BatchSolver::set_on_job_done(std::function<void()> hook) {
+  ACOLAY_CHECK_MSG(num_jobs() == 0,
+                   "set_on_job_done must precede the first submit");
+  on_job_done_ = std::move(hook);
+}
+
 BatchJobId BatchSolver::submit(const SolveRequest& request) {
-  const BatchJobId id = jobs_.size();
+  const BatchJobId id = num_jobs();
   SolveRequest effective = request;
   if (options_.derive_seeds) {
     effective.params.seed += static_cast<std::uint64_t>(id);
@@ -37,6 +43,7 @@ BatchJobId BatchSolver::submit(const SolveRequest& request) {
   job.outcome.error = validate_request(effective, &job.outcome.message);
   if (!job.outcome.ok()) {
     job.finished.store(true, std::memory_order_release);
+    if (on_job_done_) on_job_done_();
     return id;
   }
 
@@ -103,16 +110,19 @@ void BatchSolver::run_job(Job& job) {
     unfinished_.fetch_sub(1, std::memory_order_relaxed);
   }
   job_finished_.notify_all();
+  // The owner may collect and free `job` from here on: solver state only.
+  if (on_job_done_) on_job_done_();
 }
 
 const BatchSolver::Job& BatchSolver::job_at(BatchJobId id) const {
-  ACOLAY_CHECK_MSG(id < jobs_.size(), "unknown batch job id " << id);
-  return jobs_[id];
+  ACOLAY_CHECK_MSG(id >= first_job_,
+                   "batch job " << id << " was already collected");
+  ACOLAY_CHECK_MSG(id < num_jobs(), "unknown batch job id " << id);
+  return jobs_[id - first_job_];
 }
 
 BatchSolver::Job& BatchSolver::job_at(BatchJobId id) {
-  ACOLAY_CHECK_MSG(id < jobs_.size(), "unknown batch job id " << id);
-  return jobs_[id];
+  return const_cast<Job&>(std::as_const(*this).job_at(id));
 }
 
 void BatchSolver::await_job(Job& job, BatchJobId id) {
@@ -126,10 +136,13 @@ void BatchSolver::await_job(Job& job, BatchJobId id) {
                    "batch job " << id << " was already collected");
 }
 
-std::size_t BatchSolver::num_jobs() const { return jobs_.size(); }
+std::size_t BatchSolver::num_jobs() const {
+  return first_job_ + jobs_.size();
+}
 
 bool BatchSolver::done(BatchJobId id) const {
-  return job_at(id).finished.load(std::memory_order_acquire);
+  // Popped ids were collected, and only finished jobs can be.
+  return id < first_job_ || job_at(id).finished.load(std::memory_order_acquire);
 }
 
 const SolveOutcome* BatchSolver::poll_outcome(BatchJobId id) const {
@@ -152,13 +165,19 @@ SolveOutcome BatchSolver::collect_outcome(BatchJobId id) {
   job.collected = true;
   SolveOutcome outcome = std::move(job.outcome);
   // Shed everything sized by the graph — on failure too, so an errored
-  // job on the serving path cannot pin its snapshot forever. The record
-  // that stays behind is O(1), keeping a long-lived solver bounded.
+  // job on the serving path cannot pin its snapshot forever. The O(1)
+  // record stays behind only while an earlier job is uncollected.
   job.outcome = SolveOutcome{};
   job.csr = graph::CsrView{};
   job.owned_dag = graph::Digraph{};
   job.request.graph = nullptr;
   job.request.warm_tau = nullptr;
+  // Free the records themselves once everything before them is
+  // collected too; ids stay submission indices via first_job_.
+  while (!jobs_.empty() && jobs_.front().collected) {
+    jobs_.pop_front();
+    ++first_job_;
+  }
   return outcome;
 }
 

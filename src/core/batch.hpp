@@ -39,6 +39,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -52,7 +53,8 @@
 
 namespace acolay::core {
 
-/// Handle for a submitted job: the 0-based submission index.
+/// Handle for a submitted job: the 0-based submission index (it stays
+/// done() after collect_outcome() frees the job's record).
 using BatchJobId = std::size_t;
 
 /// Configuration of a BatchSolver.
@@ -86,6 +88,12 @@ class BatchSolver {
   /// Workers in the underlying pool (resolved hardware concurrency).
   std::size_t num_threads() const { return pool_.num_threads(); }
 
+  /// Installs the completion hook, called once per job (rejections
+  /// included) after done() turns true, outside the solver lock, on the
+  /// thread that finished it: an event loop's wake-up. Must precede the
+  /// first submit(), so no worker reads the hook while it is being set.
+  void set_on_job_done(std::function<void()> hook);
+
   /// Admits one structured layering request: derives the effective seed
   /// (options().derive_seeds), runs the shared admission gate
   /// (validate_request), and — if admitted — freezes the CSR snapshot and
@@ -100,7 +108,7 @@ class BatchSolver {
   /// serving a request stream should collect).
   BatchJobId submit(const SolveRequest& request);
 
-  /// Jobs submitted so far (finished or not).
+  /// Jobs submitted so far (finished or not, collected or not).
   std::size_t num_jobs() const;
 
   /// Whether job `id` has finished (successfully or with an error).
@@ -118,11 +126,11 @@ class BatchSolver {
 
   /// Like wait_outcome(), but moves the outcome out and releases the
   /// job's frozen CSR snapshot and graph pointer — the long-running
-  /// serving path: a collected job keeps only its small record, so a
-  /// solver fed an unbounded request stream does not accumulate
-  /// snapshots and layerings (and the caller may drop the graph
-  /// afterwards). A collected job stays done(); further accessor calls
-  /// on it throw.
+  /// serving path: the caller may drop the graph afterwards, and once
+  /// every earlier job is collected too the record itself is freed, so a
+  /// solver fed an unbounded request stream holds only the jobs still
+  /// uncollected. A collected job stays done(); further accessor calls on
+  /// it throw.
   SolveOutcome collect_outcome(BatchJobId id);
 
   /// Blocks until every submitted job has finished. Job failures stay in
@@ -164,9 +172,12 @@ class BatchSolver {
   void await_job(Job& job, BatchJobId id);
 
   BatchOptions options_;
-  /// Job records; deque for stable addresses (workers hold references
-  /// across later submits). Mutated only by the owning thread.
+  std::function<void()> on_job_done_;
+  /// Job records from id first_job_ on; collect_outcome() pops collected
+  /// jobs off the front. Deque for stable addresses (workers hold
+  /// references across later submits). Mutated only by the owning thread.
   std::deque<Job> jobs_;
+  BatchJobId first_job_ = 0;  ///< id of jobs_.front()
   /// One workspace per pool worker, indexed by ThreadPool::worker_index().
   std::vector<ColonyWorkspace> worker_ws_;
   /// High-water dimensions over all admitted graphs; workers read these to

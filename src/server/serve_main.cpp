@@ -1,20 +1,21 @@
-// acolay_serve: the layering daemon. Two transports over one Server:
+// acolay_serve: the layering daemon. One event loop (server/listener.hpp)
+// over one Server serves either transport:
 //
 //  * pipe (default): newline-delimited JSON request frames on stdin, one
 //    response frame per request on stdout, in arrival order; exits 0
-//    after end-of-input once every request is answered.
-//  * socket (--listen PORT / --unix PATH): a concurrent accept loop
-//    (server/listener.hpp) serving many clients with per-connection
-//    ordering; runs until SIGINT/SIGTERM, then stops accepting, drains
-//    in-flight work under --drain-timeout, prints the stats line to
-//    stderr, and exits 0.
+//    after end-of-input once every request is answered (1 if stdout fails).
+//  * socket (--listen PORT / --unix PATH): many concurrent clients with
+//    per-connection ordering; runs until SIGINT/SIGTERM, then prints the
+//    stats line to stderr and exits 0.
+//
+// In both, SIGINT/SIGTERM stop reading and drain: every frame already
+// read is answered under --drain-timeout before the exit.
 //
 // docs/SERVING.md documents the protocol and every flag below; the
 // serving.cli_contract ctest case pins usage() against that document.
 //
 // lint:allow-file(banned-include) -- the daemon's entry point IS the
-// stdio boundary; everything behind serve_stream/Listener stays
-// stream-agnostic.
+// stdio boundary; everything behind the Listener stays stream-agnostic.
 #include <atomic>
 #include <charconv>
 #include <cmath>
@@ -53,9 +54,9 @@ int usage(std::ostream& out, int exit_code) {
          "  --unix PATH       accept connections on a unix-domain socket\n"
          "                    at PATH instead of the stdin/stdout pipe\n"
          "  --drain-timeout S seconds granted to in-flight work after\n"
-         "                    SIGINT/SIGTERM in socket mode (default 5)\n"
+         "                    SIGINT/SIGTERM (default 5)\n"
          "  --stats-every S   print a stats line to stderr every S seconds\n"
-         "                    in socket mode (default: off)\n";
+         "                    (default: off)\n";
   return exit_code;
 }
 
@@ -74,12 +75,14 @@ bool parse_seconds(std::string_view text, double& out) {
          std::isfinite(out) && out >= 0.0;
 }
 
-// Raised by the signal handler; polled by the listener loop. Relaxed
-// atomics on a lock-free bool are async-signal-safe.
-std::atomic<bool> g_stop{false};
-static_assert(std::atomic<bool>::is_always_lock_free);
+// The loop SIGINT/SIGTERM stop. A lock-free atomic pointer is
+// async-signal-safe to read, and the handler may run on a solver worker.
+std::atomic<acolay::server::Listener*> g_listener{nullptr};
+static_assert(std::atomic<acolay::server::Listener*>::is_always_lock_free);
 
-void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
+void on_signal(int) {
+  if (auto* listener = g_listener.load()) listener->request_stop();
+}
 
 }  // namespace
 
@@ -87,7 +90,6 @@ int main(int argc, char** argv) {
   acolay::server::ServeOptions options;
   acolay::server::ListenerOptions listener_options;
   bool print_stats = false;
-  bool socket_mode = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -179,13 +181,11 @@ int main(int argc, char** argv) {
         return usage(std::cerr, 2);
       }
       listener_options.tcp_port = static_cast<int>(parsed);
-      socket_mode = true;
     } else if (arg == "--unix") {
       std::string_view value;
       if (!take_value(value)) return missing_value();
       if (value.empty()) return bad_value(value);
       listener_options.unix_path = std::string(value);
-      socket_mode = true;
     } else if (arg == "--drain-timeout") {
       std::string_view value;
       if (!take_value(value)) return missing_value();
@@ -209,38 +209,43 @@ int main(int argc, char** argv) {
   }
 
   acolay::server::Server server(std::move(options));
-
+  acolay::server::Listener listener(server, listener_options);
+  std::string error;
+  if (!listener.start(error)) {
+    std::cerr << "acolay_serve: " << error << '\n';
+    return 1;
+  }
+  const bool socket_mode = !listener.endpoint().empty();
+  // SIGINT/SIGTERM request the graceful drain; clients dying mid-write
+  // must surface as write errors on their own connection, not kill the
+  // daemon via SIGPIPE.
+  g_listener.store(&listener);
+  std::signal(SIGINT, on_signal);
+  std::signal(SIGTERM, on_signal);
+  std::signal(SIGPIPE, SIG_IGN);
   if (socket_mode) {
-    acolay::server::Listener listener(server, listener_options);
-    std::string error;
-    if (!listener.start(error)) {
-      std::cerr << "acolay_serve: " << error << '\n';
-      return 1;
-    }
-    // SIGINT/SIGTERM request the graceful drain; clients dying mid-write
-    // must surface as write errors on their own connection, not kill the
-    // daemon via SIGPIPE.
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
-    std::signal(SIGPIPE, SIG_IGN);
     // The readiness line clients and scripts wait for before connecting.
     std::cerr << "acolay_serve: listening on " << listener.endpoint() << '\n';
     std::cerr.flush();
-    listener.run(g_stop, &std::cerr);
+  }
+  listener.run(&std::cerr);
+  g_listener.store(nullptr);  // a late signal must not reach a dead loop
+
+  if (socket_mode) {
     // Socket shutdown always flushes the stats line: a drained daemon's
     // counters are the scrape of record.
     std::cerr << acolay::server::render_listener_stats_line(server.stats(),
                                                             listener.stats())
               << '\n';
-    return 0;
-  }
-
-  acolay::server::serve_stream(std::cin, std::cout, server);
-
-  if (print_stats) {
+  } else if (print_stats) {
     // Same schema-tagged object a "stats" request frame returns, so log
     // scrapers and wire clients parse one shape.
     std::cerr << acolay::server::render_stats_line(server.stats()) << '\n';
+  }
+  if (!socket_mode && listener.stats().dropped > 0) {
+    // The pipe is dropped only when stdout fails: its responses are lost.
+    std::cerr << "acolay_serve: writing responses to stdout failed\n";
+    return 1;
   }
   return 0;
 }

@@ -1,14 +1,8 @@
 #include "server/session.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <istream>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <ostream>
-#include <thread>
 #include <utility>
 
 #include "graph/csr.hpp"
@@ -120,7 +114,7 @@ void Server::push_line(std::string_view line) {
   harvest();
   dispatch();
 
-  const std::size_t index = entries_.size();
+  const std::size_t index = next_emit_ + entries_.size();
   entries_.emplace_back();
   Entry& entry = entries_.back();
 
@@ -271,7 +265,7 @@ Server::WarmSlot& Server::warm_slot(std::uint64_t fingerprint) {
 }
 
 bool Server::try_dedup(std::size_t index) {
-  Entry& entry = entries_[index];
+  Entry& entry = entry_at(index);
   // Warm requests want a fresh evolution step, not somebody else's result,
   // so they neither join nor lead shared solves.
   if (!options_.enable_dedup || entry.warm) return false;
@@ -288,7 +282,7 @@ bool Server::try_dedup(std::size_t index) {
     }
   }
   for (const std::size_t leader : inflight_) {
-    const Entry& lead = entries_[leader];
+    const Entry& lead = entry_at(leader);
     if (lead.warm || lead.fingerprint != entry.fingerprint) continue;
     if (lead.params == entry.params &&
         lead.cycle_policy == entry.cycle_policy &&
@@ -303,14 +297,12 @@ bool Server::try_dedup(std::size_t index) {
   return false;
 }
 
-bool Server::dispatch() {
-  bool progress = false;
+void Server::dispatch() {
   while (inflight_.size() < max_inflight_) {
     const auto popped = queue_.pop();
     if (!popped) break;
     const std::size_t index = *popped;
-    Entry& entry = entries_[index];
-    progress = true;
+    Entry& entry = entry_at(index);
 
     // Deadline shedding happens here, at dispatch: a request that expired
     // while queued is answered without ever running its colony. Dispatched
@@ -343,13 +335,11 @@ bool Server::dispatch() {
     entry.state = State::kInflight;
     inflight_.push_back(index);
   }
-  return progress;
 }
 
-bool Server::harvest() {
-  bool progress = false;
+void Server::harvest() {
   for (auto it = inflight_.begin(); it != inflight_.end();) {
-    Entry& entry = entries_[*it];
+    Entry& entry = entry_at(*it);
     if (!solver_.done(entry.job)) {
       ++it;
       continue;
@@ -362,7 +352,7 @@ bool Server::harvest() {
       slot.busy = false;
       if (entry.outcome.ok()) {
         // Snapshot what a delta session needs (the worker already wrote
-        // the final matrix into slot.tau): the graph before emit() sheds
+        // the final matrix into slot.tau): the graph before emit() frees
         // it, the best layering, and the solve params the session
         // inherits.
         slot.graph = entry.graph;
@@ -392,24 +382,19 @@ bool Server::harvest() {
 
     // Followers joined this solve while it was in flight; hand each a copy.
     const std::size_t leader = *it;
-    for (std::size_t j = next_emit_; j < entries_.size(); ++j) {
-      Entry& follower = entries_[j];
+    for (Entry& follower : entries_) {
       if (follower.state == State::kFollower && follower.leader == leader) {
         follower.outcome = entry.outcome;
         follower.state = State::kDone;
       }
     }
     it = inflight_.erase(it);
-    progress = true;
   }
-  return progress;
 }
 
-bool Server::emit() {
-  bool progress = false;
-  while (next_emit_ < entries_.size() &&
-         entries_[next_emit_].state == State::kDone) {
-    Entry& entry = entries_[next_emit_];
+void Server::emit() {
+  while (!entries_.empty() && entries_.front().state == State::kDone) {
+    Entry& entry = entries_.front();
     if (!entry.canned.empty()) {
       responses_.push_back(std::move(entry.canned));
     } else if (entry.outcome.ok()) {
@@ -424,21 +409,15 @@ bool Server::emit() {
       responses_.push_back(render_error_response(entry.id, entry.outcome.error,
                                                  entry.outcome.message));
     }
-    // Answered: shed everything graph-sized; the O(1) record remains.
-    entry.graph = graph::Digraph{};
-    entry.outcome = core::SolveOutcome{};
-    entry.canned = std::string{};
+    entries_.pop_front();
     ++next_emit_;
-    progress = true;
   }
-  return progress;
 }
 
-bool Server::step() {
-  const bool harvested = harvest();
-  const bool dispatched = dispatch();
-  const bool emitted = emit();
-  return harvested || dispatched || emitted;
+void Server::step() {
+  harvest();
+  dispatch();
+  emit();
 }
 
 void Server::drain() {
@@ -457,58 +436,10 @@ std::vector<std::string> Server::take_responses() {
   return out;
 }
 
-std::size_t Server::outstanding() const {
-  return entries_.size() - next_emit_;
+void Server::set_on_job_done(std::function<void()> hook) {
+  solver_.set_on_job_done(std::move(hook));
 }
 
-void serve_stream(std::istream& in, std::ostream& out, Server& server) {
-  std::mutex mutex;
-  std::condition_variable arrived;
-  std::deque<std::string> lines;
-  bool eof = false;
-
-  // The reader thread only blocks on getline; all serving state stays on
-  // this thread, so the Server itself needs no locking.
-  std::thread reader([&] {
-    std::string line;
-    while (std::getline(in, line)) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        lines.push_back(std::move(line));
-      }
-      arrived.notify_one();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      eof = true;
-    }
-    arrived.notify_one();
-  });
-
-  for (;;) {
-    std::deque<std::string> batch;
-    bool at_eof = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      // 1 ms poll bounds response latency while colonies finish in the
-      // background with no new input to wake us.
-      arrived.wait_for(lock, std::chrono::milliseconds(1),
-                       [&] { return eof || !lines.empty(); });
-      batch.swap(lines);
-      at_eof = eof;
-    }
-    for (const std::string& line : batch) server.push_line(line);
-    server.step();
-    const std::vector<std::string> responses = server.take_responses();
-    if (!responses.empty()) {
-      for (const std::string& response : responses) out << response << '\n';
-      // Flush per batch: a request/response client blocks on the reply
-      // before sending its next frame.
-      out.flush();
-    }
-    if (at_eof && batch.empty() && server.outstanding() == 0) break;
-  }
-  reader.join();
-}
+std::size_t Server::outstanding() const { return entries_.size(); }
 
 }  // namespace acolay::server

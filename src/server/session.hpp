@@ -49,15 +49,17 @@
 //
 // Threading: the Server itself is single-threaded (one owner calls
 // push_line/step/drain); all parallelism lives inside the embedded
-// BatchSolver. serve_stream() wraps a Server in the blocking
-// stdin/stdout pipe loop the acolay_serve binary runs.
+// BatchSolver. The acolay_serve binary drives it from the event loop in
+// listener.hpp, which set_on_job_done() wakes when a colony finishes.
+//
+// Memory: an answered frame's record is freed as it is emitted, so per-
+// frame state is held only for unanswered frames.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <string>
@@ -169,12 +171,15 @@ class Server {
   void push_line(std::string_view line);
 
   /// Harvests finished colonies, dispatches from the queue while in-flight
-  /// slots are free, and emits ready responses — non-blocking. Returns
-  /// true if any state advanced (the pipe loop's idle test).
-  bool step();
+  /// slots are free, and emits ready responses — non-blocking.
+  void step();
 
   /// Blocks until every pushed request has its response emitted.
   void drain();
+
+  /// Installs the embedded solver's completion hook (an event loop's
+  /// wake-up; core::BatchSolver::set_on_job_done). Before any push_line().
+  void set_on_job_done(std::function<void()> hook);
 
   /// Moves out the responses that are ready, in arrival order (one line
   /// each, no trailing newline).
@@ -222,7 +227,7 @@ class Server {
     core::SolveOutcome outcome;
     bool deduped = false;
     core::BatchJobId job = 0;
-    std::size_t leader = 0;  ///< leader entry index when kFollower
+    std::size_t leader = 0;  ///< leader's sequence number when kFollower
     std::string canned;  ///< pre-rendered response (stats frames)
   };
 
@@ -262,39 +267,36 @@ class Server {
   void reject(Entry& entry, core::AdmissionError error, std::string message);
   /// Applies a parsed delta frame (caller has drained; runs inline).
   void handle_delta(Entry& entry, ParsedRequest& parsed);
-  bool harvest();
-  bool dispatch();
-  bool emit();
+  void harvest();
+  void dispatch();
+  void emit();
   /// Exact-match dedup probe (cache first, then in-flight leaders);
   /// resolves the entry when it hits. False → caller dispatches for real.
   bool try_dedup(std::size_t index);
   WarmSlot& warm_slot(std::uint64_t fingerprint);
+  /// The record of the frame with sequence number `seq` (unanswered).
+  Entry& entry_at(std::size_t seq) { return entries_[seq - next_emit_]; }
 
   ServeOptions options_;
   ClockFn clock_;
   support::Stopwatch stopwatch_;  ///< backs the default clock
+  /// Unanswered frames in push order; emit() pops them as it answers.
+  /// The queue, inflight_ and Entry::leader hold sequence numbers.
   std::deque<Entry> entries_;
   RequestQueue queue_;
-  std::vector<std::size_t> inflight_;  ///< entry indices, dispatch order
+  std::vector<std::size_t> inflight_;  ///< sequence numbers, dispatch order
   std::vector<CacheSlot> cache_;  ///< FIFO ring of completed solves
   /// Linear-scanned, small. A deque, NOT a vector: an in-flight warm job
   /// holds a pointer to its slot's matrix, which must survive new
   /// fingerprints appending slots.
   std::deque<WarmSlot> warm_;
   std::deque<IncSession> sessions_;  ///< live delta chains, FIFO-capped
-  std::size_t next_emit_ = 0;          ///< first entry without a response
+  std::size_t next_emit_ = 0;  ///< sequence number of entries_.front()
   std::vector<std::string> responses_;
   std::size_t max_inflight_ = 1;
   ServeStats stats_;
   core::BatchSolver solver_;  ///< declared last: drained before the
                               ///< entries its jobs reference go away
 };
-
-/// The acolay_serve pipe loop: a reader thread feeds `in`'s lines into
-/// `server` while the calling thread steps it and writes each response
-/// batch to `out` (flushed per batch, so a request/response client never
-/// deadlocks on an unflushed reply). Returns after end-of-input once every
-/// request is answered.
-void serve_stream(std::istream& in, std::ostream& out, Server& server);
 
 }  // namespace acolay::server

@@ -5,6 +5,7 @@
 // determinism at corpus scale lives in tests/determinism_test.cpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <span>
 #include <vector>
 
@@ -200,6 +201,60 @@ TEST(BatchSolver, CollectMovesTheResultAndReleasesTheJob) {
       test::wait_result(reference_solver, test::submit_request(
                                               reference_solver,
                                               graphs.front(), params)));
+}
+
+TEST(BatchSolver, CollectedIdsStayDoneAfterTheirRecordsAreFreed) {
+  const auto graphs = test::random_battery(4);
+  const auto params = small_params(9);
+  core::BatchSolver solver;
+  std::vector<core::BatchJobId> ids;
+  for (const auto& g : graphs) {
+    ids.push_back(test::submit_request(solver, g, params));
+  }
+
+  // Out of order: job 1's record waits for job 0, then both are freed.
+  ASSERT_TRUE(solver.collect_outcome(ids[1]).ok());
+  ASSERT_TRUE(solver.collect_outcome(ids[0]).ok());
+  for (const auto id : {ids[0], ids[1]}) {
+    EXPECT_TRUE(solver.done(id));
+    EXPECT_THROW(solver.poll_outcome(id), support::CheckError);
+    EXPECT_THROW(solver.wait_outcome(id), support::CheckError);
+    EXPECT_THROW(solver.collect_outcome(id), support::CheckError);
+  }
+  // Ids stay submission indices: the live jobs and new ones are unmoved.
+  EXPECT_EQ(solver.num_jobs(), 4u);
+  EXPECT_TRUE(solver.wait_outcome(ids[2]).ok());
+  const auto next = test::submit_request(solver, graphs[0], params);
+  EXPECT_EQ(next, 4u);
+  EXPECT_EQ(solver.num_jobs(), 5u);
+  EXPECT_THROW(solver.done(5), support::CheckError);
+  for (const auto id : {ids[2], ids[3], next}) {
+    EXPECT_TRUE(solver.collect_outcome(id).ok());
+  }
+  EXPECT_TRUE(solver.done(next));
+}
+
+TEST(BatchSolver, JobDoneHookFiresOncePerJobRejectionsIncluded) {
+  const auto graphs = test::random_battery(6);
+  graph::Digraph cyclic(2);
+  cyclic.add_edge(0, 1);
+  cyclic.add_edge(1, 0);
+  auto bad = small_params();
+  bad.num_ants = 0;
+  std::atomic<std::size_t> calls{0};
+  {
+    core::BatchSolver solver(core::BatchOptions{2, false});
+    solver.set_on_job_done([&calls] { calls.fetch_add(1); });
+    for (const auto& g : graphs) {
+      test::submit_request(solver, g, small_params());
+    }
+    test::submit_request(solver, cyclic, small_params());
+    test::submit_request(solver, graphs[0], bad);
+    // The hook is wiring, not a late option: it cannot change mid-stream.
+    EXPECT_THROW(solver.set_on_job_done([] {}), support::CheckError);
+  }
+  // Counted after the destructor joined the workers, so every call made.
+  EXPECT_EQ(calls.load(), graphs.size() + 2);
 }
 
 TEST(BatchSolver, RejectsCyclicGraphsAtAdmission) {

@@ -6,6 +6,8 @@
 // nothing else.
 //
 // lint:allow-file(no-float-in-aco-math) -- fixture: file-level form under test
+#include <unistd.h>
+
 #include <cmath>
 #include <unordered_map>
 
@@ -20,6 +22,7 @@ double all_forms(double tau) {
       tau * static_cast<double>(narrow) * static_cast<double>(m.size() + 1);
   // lint:allow-next-line(no-naked-new) -- fixture: next-line form, delete spelling
   delete p;
+  ::usleep(0);  // lint:allow(no-poll-sleep) -- fixture: same-line form, sleep rule
   return result;
 }
 

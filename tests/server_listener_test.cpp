@@ -1,10 +1,10 @@
 // The socket transport contract (src/server/listener.hpp): a
 // single-connection socket transcript is byte-identical to the same
-// stream through serve_stream, every client's responses arrive in its own
-// arrival order under concurrent interleaving, a malformed or oversized
-// frame and a mid-frame disconnect hurt only their own connection, and
-// raising the stop flag drains everything already received before the
-// listener returns.
+// stream pushed straight into a Server, every client's responses arrive
+// in its own arrival order under concurrent interleaving, a malformed or
+// oversized frame, a mid-frame disconnect and a client that stops reading
+// hurt only their own connection, and request_stop() drains everything
+// already received before the loop returns.
 #include "server/listener.hpp"
 
 #include <gtest/gtest.h>
@@ -14,10 +14,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,25 +43,25 @@ class ListenerHarness {
     started_ = listener_->start(error);
     EXPECT_TRUE(started_) << error;
     if (!started_) return;
-    thread_ = std::thread([this] { listener_->run(stop_, nullptr); });
+    thread_ = std::thread([this] { listener_->run(nullptr); });
   }
 
   ~ListenerHarness() { stop(); }
 
   void stop() {
     if (!thread_.joinable()) return;
-    stop_.store(true);
+    listener_->request_stop();
     thread_.join();
   }
 
   Listener& listener() { return *listener_; }
+  const Server& server() const { return *server_; }
   int port() const { return listener_->port(); }
 
  private:
   std::unique_ptr<Server> server_;
   std::unique_ptr<Listener> listener_;
   std::thread thread_;
-  std::atomic<bool> stop_{false};
   bool started_ = false;
 };
 
@@ -179,32 +177,68 @@ std::string solve_frame(const std::string& id, std::uint64_t seed,
   return w.str() + "\n";
 }
 
+/// A chain 0 -> 1 -> ... -> n-1 solved with one ant for one tour: cheap
+/// to solve, with a response that names a layer per vertex (~10 KB at
+/// n = 2000).
+std::string chain_frame(const std::string& id, int n) {
+  io::JsonWriter w;
+  w.begin_object();
+  w.kv("id", id);
+  w.key("graph").begin_object();
+  w.kv("num_vertices", n);
+  w.key("edges").begin_array();
+  for (int v = 0; v + 1 < n; ++v) {
+    w.begin_array().value(v).value(v + 1).end_array();
+  }
+  w.end_array();
+  w.end_object();
+  w.key("params").begin_object();
+  w.kv("num_ants", 1);
+  w.kv("num_tours", 1);
+  w.end_object();
+  w.end_object();
+  return w.str() + "\n";
+}
+
+/// "<prefix><n>", appended rather than `"c" + std::to_string(n)`: GCC 12
+/// misreports that rvalue chain under -Wrestrict at -O3.
+std::string numbered(std::string prefix, std::size_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 std::string response_id(const std::string& line) {
   const auto doc = io::parse_json(line);
   if (!doc.has_value()) return "<unparseable>";
   return doc->find("id")->as_string();
 }
 
-TEST(ServerListener, SingleClientTranscriptMatchesServeStream) {
-  // The same seven-frame stream (ok / duplicate / cycle / garbage /
-  // stats) through the pipe loop and through a socket connection.
+TEST(ServerListener, SingleClientTranscriptMatchesPushLines) {
+  // The same stream (ok / duplicate / cycle / garbage / stats) pushed
+  // straight into a Server and sent over a socket connection.
+  const std::vector<std::string> frames = {
+      solve_frame("r1", 7),
+      solve_frame("r2", 11),
+      solve_frame("r3", 7),  // exact duplicate of r1: deduped
+      "{\"id\":\"r4\",\"graph\":{\"num_vertices\":2,"
+      "\"edges\":[[0,1],[1,0]]}}\n",
+      "not json at all\n",
+      "{\"id\":\"r6\",\"stats\":true}\n",
+  };
+
   std::string stream;
-  stream += solve_frame("r1", 7);
-  stream += solve_frame("r2", 11);
-  stream += solve_frame("r3", 7);  // exact duplicate of r1: deduped
-
-  stream += "{\"id\":\"r4\",\"graph\":{\"num_vertices\":2,"
-            "\"edges\":[[0,1],[1,0]]}}\n";
-  stream += "not json at all\n";
-  stream += "{\"id\":\"r6\",\"stats\":true}\n";
-
-  std::string piped;
+  std::string direct;
   {
     Server server(ServeOptions{});
-    std::istringstream in(stream);
-    std::ostringstream out;
-    serve_stream(in, out, server);
-    piped = out.str();
+    for (const std::string& frame : frames) {
+      stream += frame;
+      server.push_line(frame.substr(0, frame.size() - 1));
+    }
+    server.drain();
+    for (const std::string& response : server.take_responses()) {
+      direct += response;
+      direct += '\n';
+    }
   }
 
   std::string socketed;
@@ -216,9 +250,9 @@ TEST(ServerListener, SingleClientTranscriptMatchesServeStream) {
     socketed = client.read_all();
   }
 
-  EXPECT_EQ(piped, socketed)
-      << "a socket transcript must be byte-identical to the pipe transcript "
-         "for the same request stream";
+  EXPECT_EQ(direct, socketed)
+      << "a socket transcript must be byte-identical to the Server's own "
+         "responses for the same request stream";
 }
 
 TEST(ServerListener, MultiClientResponsesStayInPerClientArrivalOrder) {
@@ -234,7 +268,7 @@ TEST(ServerListener, MultiClientResponsesStayInPerClientArrivalOrder) {
   // in the daemon.
   for (std::size_t i = 0; i < kFrames; ++i) {
     for (std::size_t c = 0; c < kClients; ++c) {
-      const std::string id = "c" + std::to_string(c) + "-" + std::to_string(i);
+      const std::string id = numbered(numbered("c", c) + "-", i);
       clients[c]->send(solve_frame(id, 100 * c + i));
     }
   }
@@ -245,7 +279,7 @@ TEST(ServerListener, MultiClientResponsesStayInPerClientArrivalOrder) {
     ASSERT_EQ(lines.size(), kFrames) << "client " << c;
     for (std::size_t i = 0; i < kFrames; ++i) {
       EXPECT_EQ(response_id(lines[i]),
-                "c" + std::to_string(c) + "-" + std::to_string(i))
+                numbered(numbered("c", c) + "-", i))
           << "client " << c << " response " << i
           << " out of its own arrival order";
       const auto doc = io::parse_json(lines[i]);
@@ -347,7 +381,7 @@ TEST(ServerListener, StopDrainsEverythingAlreadyReceived) {
   constexpr std::size_t kFrames = 8;
   std::string burst;
   for (std::size_t i = 0; i < kFrames; ++i) {
-    burst += solve_frame("d" + std::to_string(i), i, /*num_tours=*/8);
+    burst += solve_frame(numbered("d", i), i, /*num_tours=*/8);
   }
   client.send(burst);
   client.close_write();
@@ -362,7 +396,85 @@ TEST(ServerListener, StopDrainsEverythingAlreadyReceived) {
   ASSERT_EQ(rest.size(), kFrames - 1)
       << "stop must drain and deliver every received request";
   for (std::size_t i = 0; i < rest.size(); ++i) {
-    EXPECT_EQ(response_id(rest[i]), "d" + std::to_string(i + 1));
+    EXPECT_EQ(response_id(rest[i]), numbered("d", i + 1));
+  }
+}
+
+TEST(ServerListener, OneSendBurstStaysUnderTheConnectionCap) {
+  // 200 frames arrive in one read, but the loop forwards at most
+  // max_pending_per_connection (64) of them at a time: one client alone
+  // never fills the Server's queue (depth 64) and is never `overloaded`.
+  ListenerHarness harness;
+  Client client(harness.port());
+  constexpr std::size_t kFrames = 200;
+  std::string burst;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    burst += solve_frame(numbered("t", i), i, /*num_tours=*/20);
+  }
+  client.send(burst);
+  client.close_write();
+
+  const std::vector<std::string> lines = client.read_lines(kFrames);
+  ASSERT_EQ(lines.size(), kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const auto doc = io::parse_json(lines[i]);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->find("id")->as_string(), numbered("t", i));
+    EXPECT_EQ(doc->find("status")->as_string(), "ok") << lines[i];
+  }
+  harness.stop();
+  EXPECT_EQ(harness.server().stats().rejected_overload, 0u);
+}
+
+TEST(ServerListener, StalledReaderDoesNotBlockOtherClients) {
+  // A unix socket buffers ~200 KB per connection, so 48 responses of
+  // ~10 KB overflow it: the loop must hold the rest, write it piecewise
+  // as the client drains, and keep serving everyone else meanwhile —
+  // also after the client read a little and stalled again, when a write
+  // bigger than the freed space would block the loop.
+  ListenerOptions listener_options;
+  listener_options.unix_path = "acolay_stalled_reader_test.sock";
+  ListenerHarness harness(ServeOptions{}, listener_options);
+  constexpr std::size_t kFrames = 48;  // under max_pending_per_connection
+  constexpr int kVertices = 2000;
+
+  Client stalled(listener_options.unix_path);
+  std::string burst;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    burst += chain_frame(numbered("a", i), kVertices);
+  }
+  stalled.send(burst);  // ... and read nothing until the end
+
+  // Stats frames drain everything pushed before them; once one counts all
+  // of A's frames, A's responses are rendered and its socket is full.
+  Client other(listener_options.unix_path);
+  for (std::size_t probe = 1;; ++probe) {
+    other.send("{\"id\":\"probe\",\"stats\":true}\n");
+    const std::vector<std::string> lines = other.read_lines(1);
+    ASSERT_EQ(lines.size(), 1u);
+    const auto doc = io::parse_json(lines[0]);
+    ASSERT_TRUE(doc.has_value());
+    const double received = doc->find("stats")->find("received")->as_double();
+    if (received >= static_cast<double>(kFrames + probe)) break;
+  }
+  std::vector<std::string> lines = stalled.read_lines(kFrames / 2);
+  other.send(solve_frame("b", 5));
+  const std::vector<std::string> answer = other.read_lines(1);
+  ASSERT_EQ(answer.size(), 1u);
+  EXPECT_EQ(response_id(answer[0]), "b");
+
+  // A resumes and gets every response, whole and in order.
+  for (std::string& line : stalled.read_lines(kFrames - lines.size())) {
+    lines.push_back(std::move(line));
+  }
+  ASSERT_EQ(lines.size(), kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const auto doc = io::parse_json(lines[i]);
+    ASSERT_TRUE(doc.has_value()) << "response " << i << " is torn";
+    EXPECT_EQ(doc->find("id")->as_string(), numbered("a", i));
+    ASSERT_EQ(doc->find("status")->as_string(), "ok");
+    EXPECT_EQ(doc->find("layering")->find("layers")->size(),
+              static_cast<std::size_t>(kVertices));
   }
 }
 
