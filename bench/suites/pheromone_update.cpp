@@ -1,5 +1,5 @@
 // Pheromone-update sweep benchmarks: the fused PheromoneMatrix::update
-// (one SIMD evaporate+deposit+clamp pass) and its thread-pool-sharded
+// (one evaporate+deposit+clamp pass) and its thread-pool-sharded
 // variant against the discrete three-pass protocol the colony loop used
 // to run, across matrix shapes that stress row length vs row count.
 //

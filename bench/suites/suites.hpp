@@ -33,11 +33,6 @@ harness::Suite micro_suite();
 /// batch sizes 1/8/64.
 harness::Suite batch_throughput_suite();
 
-/// metrics_simd — the support/simd.hpp reduction kernels behind the fused
-/// compute_metrics scans vs their scalar references (timing), with the
-/// reduction values re-emitted as a gated quality series (SIMD ≡ scalar).
-harness::Suite metrics_simd_suite();
-
 /// pheromone_update — fused/sharded PheromoneMatrix::update vs the
 /// discrete evaporate+deposit+clamp protocol across matrix shapes, with
 /// the final matrix extrema as gated quality series.

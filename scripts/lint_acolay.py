@@ -284,10 +284,21 @@ RULES: list[Rule] = [
         message=(
             "float in ACO/metrics math: pheromone and objective arithmetic "
             "is double end-to-end; mixing float narrows intermediates "
-            "differently across optimisation levels and SIMD backends, "
-            "breaking bit-identity. Use double (or an integer type)."
+            "differently across optimisation levels, breaking "
+            "bit-identity. Use double (or an integer type)."
         ),
-        applies=_in("src/core/", "src/layering/", "src/support/simd.hpp"),
+        applies=_in("src/core/", "src/layering/"),
+    ),
+    Rule(
+        name="no-intrinsics",
+        pattern=re.compile(r"#\s*include\s*<(\w*intrin\.h|arm_neon\.h)>"),
+        message=(
+            "SIMD intrinsics header in library code: write the plain loop "
+            "and check the compiler's -fopt-info-vec report that it "
+            "vectorizes, or suppress this rule with the measured reason "
+            "the intrinsics are needed."
+        ),
+        applies=_in("src/"),
     ),
     Rule(
         name="banned-include",

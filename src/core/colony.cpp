@@ -161,10 +161,9 @@ void run_tours(const graph::CsrView& csr, const AcoParams& params,
     }
 
     // Evaporation + tour-best deposit (Alg. 4 lines 16–17), fused into one
-    // sharded SIMD sweep (bit-identical to the discrete
-    // evaporate/deposit/clamp sequence; infinite bounds disable clamping
-    // exactly). The ant pool is idle between tours, so large matrices fan
-    // the row shards out on it.
+    // sharded sweep (bit-identical to the discrete evaporate/deposit/clamp
+    // sequence; infinite bounds disable clamping exactly). The ant pool is
+    // idle between tours, so large matrices fan the row shards out on it.
     const double amount = params.deposit * tour_best.objective;
     const bool clamped =
         params.tau_min > 0.0 ||

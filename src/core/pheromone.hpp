@@ -8,12 +8,13 @@
 // standard remedy and is exercised by the ablation bench).
 //
 // The per-tour update is the last O(n·L) pass of the colony loop, so
-// update() fuses evaporate + tour-best deposit + clamp into one SIMD
-// sweep (support/simd.hpp) over the row-major tau array, optionally
-// sharded across a support::ThreadPool by contiguous row blocks for very
-// large matrices. Every path — the three discrete methods, the fused
-// sweep, and the sharded sweep at any thread count — is bit-identical
-// (tests/core_pheromone_test.cpp pins it on randomized matrices).
+// update() fuses evaporate + tour-best deposit + clamp into one plain
+// sweep over the row-major tau array (the compiler vectorizes it),
+// optionally sharded across a support::ThreadPool by contiguous row
+// blocks for very large matrices. Every path — the three discrete
+// methods, the fused sweep, and the sharded sweep at any thread count —
+// is bit-identical (tests/core_pheromone_test.cpp pins it on randomized
+// matrices).
 #pragma once
 
 #include <algorithm>
@@ -95,7 +96,7 @@ class PheromoneMatrix {
   /// exactly (the identity on finite tau). Bit-identical to
   /// evaporate(rho); deposit(v, deposit_layers[v], amount) for all v;
   /// clamp(tau_min, tau_max) — but in one pass over memory instead of
-  /// three, vectorized with support/simd.hpp.
+  /// three.
   ///
   /// When `pool` is non-null and the matrix is large enough to amortise
   /// task dispatch, the sweep is sharded across the pool by contiguous

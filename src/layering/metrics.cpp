@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "support/simd.hpp"
-
 namespace acolay::layering {
 
 std::vector<double> layer_width_profile(const graph::Digraph& g,
@@ -136,12 +134,10 @@ LayeringMetrics fused_metrics(const graph::CsrView& g, const Layering& l,
   // Vertex pass 1: occupied layers. Yields the height and, when
   // compacting, the old-layer -> dense-rank remap (exactly normalize()'s
   // relabelling, without touching the Layering). The max-layer scan is a
-  // SIMD integer reduction — exact under any association, so the value
-  // matches the scalar scan bit for bit.
-  const int max_raw =
-      layers.empty() ? 0
-                     : std::max(0, support::simd::max_value(
-                                       std::span<const int>(layers)));
+  // plain loop because GCC vectorizes this form at -O3 and not
+  // std::ranges::max; an integer max is exact under any association.
+  int max_raw = 0;
+  for (const int layer : layers) max_raw = std::max(max_raw, layer);
   ws.remap.assign(static_cast<std::size_t>(max_raw) + 1, 0);
   for (const int layer : layers) {
     ws.remap[static_cast<std::size_t>(layer)] = 1;
@@ -208,18 +204,13 @@ LayeringMetrics fused_metrics(const graph::CsrView& g, const Layering& l,
       ws.width[static_cast<std::size_t>(layer)] += running;
     }
   }
-  // The two width reductions are SIMD max scans (support/simd.hpp):
-  // floating-point max is associative over the non-NaN, non-negative
-  // width profiles, so the values are bit-identical to std::max_element.
   m.width_incl_dummies =
       ws.width.empty() ? 0.0
-                       : support::simd::max_value(
-                             std::span<const double>(ws.width));
+                       : *std::max_element(ws.width.begin(), ws.width.end());
   m.width_excl_dummies =
       ws.width_real.empty()
           ? 0.0
-          : support::simd::max_value(
-                std::span<const double>(ws.width_real));
+          : *std::max_element(ws.width_real.begin(), ws.width_real.end());
 
   m.total_span = span;
   m.dummy_count = span - static_cast<std::int64_t>(edges.size());

@@ -1,8 +1,9 @@
 // Tests for the pheromone matrix (paper §IV-D, Alg. 4 lines 16–17),
-// including the fused SIMD update() sweep and its sharded variant: both
-// must be bit-identical to the discrete evaporate/deposit/clamp protocol
-// on every shard-boundary shape (L not divisible by the lane width,
-// single-layer matrices, clamp saturation) and at every thread count.
+// including the fused update() sweep and its sharded variant: both must
+// be bit-identical to the discrete evaporate/deposit/clamp protocol on
+// every shard-boundary shape (row lengths around any vector width the
+// compiler picks, single-layer matrices, clamp saturation) and at every
+// thread count.
 #include "core/pheromone.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/thread_pool.hpp"
 
 namespace acolay::core {
@@ -170,14 +170,14 @@ TEST(Pheromone, FusedUpdateMatchesDiscreteProtocol) {
 }
 
 TEST(Pheromone, FusedUpdateShardBoundaryShapes) {
-  // Layer counts straddling every lane-width boundary (1, the lane count
-  // +/- 1, a prime, and a multi-vector row), times vertex counts that make
-  // ragged last shards. All must match the discrete protocol exactly.
-  const auto lanes = static_cast<int>(support::simd::kF64Lanes);
+  // Every row length 1..17 plus 37 covers the vector body and the scalar
+  // tail of 2-, 4- and 8-lane code, times vertex counts that make ragged
+  // last shards. All must match the discrete protocol exactly.
+  std::vector<int> layer_counts;
+  for (int layers = 1; layers <= 17; ++layers) layer_counts.push_back(layers);
+  layer_counts.push_back(37);
   support::Rng rng(23);
-  for (const int layers : {1, 2, 3, lanes - 1, lanes, lanes + 1,
-                           2 * lanes + 1, 37}) {
-    if (layers < 1) continue;
+  for (const int layers : layer_counts) {
     for (const std::size_t n : {std::size_t{1}, std::size_t{5},
                                 std::size_t{33}}) {
       PheromoneMatrix fused = random_matrix(rng, n, layers);
@@ -196,8 +196,8 @@ TEST(Pheromone, FusedUpdateShardBoundaryShapes) {
 }
 
 TEST(Pheromone, FusedUpdateSingleLayerGraph) {
-  // L = 1: every row is one element, the deposit hits it, and the vector
-  // body never runs (pure tail path on every backend wider than scalar).
+  // L = 1: every row is one element, the deposit hits it, and a
+  // vectorized sweep never enters its vector body (pure scalar tail).
   PheromoneMatrix fused(4, 1, 2.0);
   PheromoneMatrix discrete(4, 1, 2.0);
   const std::vector<int> deposit_layers{1, 1, 1, 1};

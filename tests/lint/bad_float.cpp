@@ -2,7 +2,7 @@
 //
 // Rule: no-float-in-aco-math. Pheromone/objective arithmetic is double
 // end-to-end; a float intermediate rounds differently across
-// optimisation levels and SIMD backends, breaking bit-identity.
+// optimisation levels, breaking bit-identity.
 namespace acolay::core {
 
 double mixed(double tau) {

@@ -10,7 +10,9 @@
 
 #include <malloc.h>
 
+#include <atomic>
 #include <cstdint>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -162,46 +164,65 @@ TEST(ServerSession, ExpiredDeadlineIsShedWithoutRunningAColony) {
 }
 
 TEST(ServerSession, PrioritiesGovernDispatchAndOverflowIsBackpressure) {
-  // One in-flight slot, a two-deep queue, and a blocker holding the slot.
-  // The low-priority request's deadline expires as soon as two colonies
-  // have been solved (the clock reads the solved counter), so:
+  // One worker, one in-flight slot, a two-deep queue. A tiny gate colony
+  // runs first and its completion hook holds the only worker until the
+  // frames below are all pushed, so the blocker is in flight but cannot
+  // run, LOW and HIGH queue behind it, and BOUNCED finds the queue full.
+  // The low-priority request's deadline expires as soon as three colonies
+  // have been solved (the clock reads the solved counter): the gate, the
+  // blocker and whichever queued request is dispatched first. So:
   //   * correct (priority) order: blocker, then HIGH — by the time LOW is
   //     popped its deadline has passed and it is shed;
   //   * inverted order would pop LOW while its deadline still holds, solve
   //     it, and the shed assertion below fails.
-  // A fourth frame arrives with the queue full and must bounce.
+  std::promise<void> gate_entered;
+  std::promise<void> gate_open;
+  const std::shared_future<void> opened = gate_open.get_future().share();
+  std::atomic<bool> first_job{true};
   const Server* self = nullptr;
   ServeOptions options;
-  options.num_threads = 2;
+  options.num_threads = 1;
   options.max_inflight = 1;
   options.max_queue_depth = 2;
   options.clock = [&self] {
-    return (self != nullptr && self->stats().solved >= 2) ? 1000.0 : 0.0;
+    return (self != nullptr && self->stats().solved >= 3) ? 1000.0 : 0.0;
   };
   Server server(options);
   self = &server;
+  server.set_on_job_done([&] {
+    if (first_job.exchange(false)) {
+      gate_entered.set_value();
+      opened.wait();
+    }
+  });
 
-  // Heavy enough that it is still running while the three frames below
-  // are pushed (pushes take microseconds).
-  const auto blocker_graph = test::random_battery(1, 0xb10cULL).front();
-  server.push_line(frame("blocker", blocker_graph, 400, 1));
+  server.push_line(frame("gate", test::triangle_with_long_edge(), 2, 5));
+  gate_entered.get_future().wait();  // the gate is done; its worker is held
+  server.push_line(frame("blocker", test::small_dag(), 2, 1));
   server.push_line(frame("low", test::diamond(), 2, 2,
                          FrameOpts{.deadline = 50.0, .priority = 0}));
   server.push_line(frame("high", test::two_chains(), 2, 3,
                          FrameOpts{.priority = 7}));
   server.push_line(frame("bounced", test::small_dag(), 2, 4));
+  gate_open.set_value();
   server.drain();
 
   const auto responses = server.take_responses();
-  ASSERT_EQ(responses.size(), 4u);  // arrival order, always
-  EXPECT_EQ(status_of(responses[0]), "ok");
-  const io::JsonValue low = parse_response(responses[1]);
-  EXPECT_EQ(low.find("error")->as_string(), "deadline_expired");
-  EXPECT_EQ(status_of(responses[2]), "ok");
-  const io::JsonValue bounced = parse_response(responses[3]);
-  EXPECT_EQ(bounced.find("error")->as_string(), "overloaded");
+  ASSERT_EQ(responses.size(), 5u);  // arrival order, always
+  std::vector<io::JsonValue> docs;
+  for (const std::string& line : responses) {
+    docs.push_back(parse_response(line));
+    ASSERT_NE(docs.back().find("status"), nullptr) << line;
+  }
+  EXPECT_EQ(docs[0].find("status")->as_string(), "ok");  // gate
+  EXPECT_EQ(docs[1].find("status")->as_string(), "ok");  // blocker
+  ASSERT_NE(docs[2].find("error"), nullptr) << responses[2];
+  EXPECT_EQ(docs[2].find("error")->as_string(), "deadline_expired");
+  EXPECT_EQ(docs[3].find("status")->as_string(), "ok");  // high
+  ASSERT_NE(docs[4].find("error"), nullptr) << responses[4];
+  EXPECT_EQ(docs[4].find("error")->as_string(), "overloaded");
 
-  EXPECT_EQ(server.stats().solved, 2u);
+  EXPECT_EQ(server.stats().solved, 3u);
   EXPECT_EQ(server.stats().rejected_deadline, 1u);
   EXPECT_EQ(server.stats().rejected_overload, 1u);
 }
