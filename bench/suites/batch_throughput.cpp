@@ -102,8 +102,7 @@ harness::Suite batch_throughput_suite() {
       support::Stopwatch batch_watch;
       for (std::size_t first = 0; first < kNumJobs; first += batch_size) {
         const std::size_t last = std::min(first + batch_size, kNumJobs);
-        core::BatchSolver solver(
-            core::BatchOptions{ctx.config.num_threads, false});
+        core::BatchSolver solver(ctx.config.num_threads);
         std::vector<core::BatchJobId> ids;
         ids.reserve(last - first);
         for (std::size_t i = first; i < last; ++i) {
@@ -114,7 +113,7 @@ harness::Suite batch_throughput_suite() {
         }
         for (const auto id : ids) {
           batch_objective_sum +=
-              solver.wait_outcome(id).result.metrics.objective;
+              solver.collect_outcome(id).result.metrics.objective;
         }
       }
       const double batch_seconds = batch_watch.elapsed_seconds();

@@ -174,8 +174,7 @@ harness::Suite serving_latency_suite() {
     }
 
     // Direct reference over the identical work, in the same order.
-    core::BatchSolver direct(
-        core::BatchOptions{ctx.config.num_threads, false});
+    core::BatchSolver direct(ctx.config.num_threads);
     const std::vector<core::AcoResult> expected =
         direct.solve_all(graphs, params);
     double direct_objective_sum = 0.0;

@@ -330,6 +330,18 @@ RULES: list[Rule] = [
         applies=_in("src/"),
     ),
     Rule(
+        name="one-admission-path",
+        pattern=re.compile(r"(?<![\w:])(core\s*::\s*)?resolve_cycles\s*\("),
+        message=(
+            "Phase 0 called outside admission: every solver enters through "
+            "core::admit (validation, Phase 0, CSR freeze in one place), so "
+            "a check added there covers every entry point. Build a "
+            "SolveRequest and call core::admit instead."
+        ),
+        applies=_in("src/"),
+        allowlist=("src/core/request.hpp", "src/core/request.cpp"),
+    ),
+    Rule(
         name="no-thread-unsafe-static",
         pattern=re.compile(r"\bstatic\s+(?!constexpr\b|const\b)\w[\w:<>,\s*&]*=\s*[^=]"),
         message=(

@@ -7,11 +7,8 @@
 
 namespace acolay::core {
 
-BatchSolver::BatchSolver(BatchOptions options)
-    : options_(options),
-      pool_(options.num_threads <= 0
-                ? 0
-                : static_cast<std::size_t>(options.num_threads)) {
+BatchSolver::BatchSolver(int num_threads)
+    : pool_(num_threads <= 0 ? 0 : static_cast<std::size_t>(num_threads)) {
   worker_ws_.resize(pool_.num_threads());
 }
 
@@ -29,48 +26,31 @@ void BatchSolver::set_on_job_done(std::function<void()> hook) {
 
 BatchJobId BatchSolver::submit(const SolveRequest& request) {
   const BatchJobId id = num_jobs();
-  SolveRequest effective = request;
-  if (options_.derive_seeds) {
-    effective.params.seed += static_cast<std::uint64_t>(id);
-  }
-  jobs_.emplace_back(effective);
-  Job& job = jobs_.back();
+  Job& job = jobs_.emplace_back();
 
-  // Admission: the shared gate decides here, once. A rejected job is born
-  // finished — no CSR snapshot, no pool task, no exception. The plain
-  // store needs no lock: the job only becomes waitable once this call
-  // returns its id to the (single) owning thread.
-  job.outcome.error = validate_request(effective, &job.outcome.message);
+  // Admission decides here, once: validation, Phase 0 (a cyclic graph
+  // admitted under its policy is reoriented into a DAG the job owns) and
+  // the CSR freeze. A rejected job is born finished — no snapshot, no pool
+  // task, no exception. The plain store needs no lock: the job only
+  // becomes waitable once this call returns its id to the (single) owning
+  // thread.
+  job.outcome.error = admit(request, job.admitted, &job.outcome.message);
   if (!job.outcome.ok()) {
     job.finished.store(true, std::memory_order_release);
     if (on_job_done_) on_job_done_();
     return id;
   }
+  // The outcome owns the reversal from here on; the colony task reads
+  // only the DAG and its snapshot.
+  job.outcome.reversed_edges = std::move(job.admitted.reversed_edges);
 
-  // Phase 0 (cycle policy): a cyclic graph admitted by the gate above is
-  // reoriented once, here at admission, so the colony task only ever sees
-  // a DAG. The job owns the reoriented graph (the caller's borrowed graph
-  // stays untouched) and the reversal is already part of the outcome.
-  if (effective.cycle_policy != CyclePolicy::kReject) {
-    CycleResolution phase0;
-    resolve_cycles(*effective.graph, effective.cycle_policy,
-                   effective.params.seed, phase0);
-    if (phase0.graph != effective.graph) {
-      job.owned_dag = std::move(phase0.owned);
-      job.request.graph = &job.owned_dag;
-      job.outcome.reversed_edges = std::move(phase0.reversed_edges);
-    }
+  // Publish the new high-water dimensions before the job can run. Single
+  // writer (the owning thread), so a plain load-compare-store suffices.
+  const std::size_t n = job.admitted.dag().num_vertices();
+  if (n > max_vertices_.load(std::memory_order_relaxed)) {
+    max_vertices_.store(n, std::memory_order_relaxed);
   }
-
-  // Freeze the CSR snapshot and publish the new high-water dimensions
-  // before the job can run. Single writer (the owning thread), so a plain
-  // load-compare-store suffices.
-  const graph::Digraph& g = *job.request.graph;
-  job.csr.rebuild(g);
-  if (g.num_vertices() > max_vertices_.load(std::memory_order_relaxed)) {
-    max_vertices_.store(g.num_vertices(), std::memory_order_relaxed);
-  }
-  const auto ants = static_cast<std::size_t>(effective.params.num_ants);
+  const auto ants = static_cast<std::size_t>(request.params.num_ants);
   if (ants > max_ants_.load(std::memory_order_relaxed)) {
     max_ants_.store(ants, std::memory_order_relaxed);
   }
@@ -91,9 +71,10 @@ void BatchSolver::run_job(Job& job) {
     // axes. Monotonic, so steady state performs no allocation here.
     const std::size_t n = max_vertices_.load(std::memory_order_relaxed);
     ws.reserve(max_ants_.load(std::memory_order_relaxed), n, n);
+    const AdmittedRequest& admitted = job.admitted;
     job.outcome.result =
-        run_colony(*job.request.graph, job.csr, job.request.params, ws,
-                   /*ant_pool=*/nullptr, job.request.warm_tau);
+        run_colony(admitted.dag(), admitted.csr, admitted.request.params, ws,
+                   /*ant_pool=*/nullptr, admitted.request.warm_tau);
   } catch (const std::exception& e) {
     job.outcome.error = AdmissionError::kInternal;
     job.outcome.message = e.what();
@@ -102,9 +83,10 @@ void BatchSolver::run_job(Job& job) {
     job.outcome.message = "unknown solver failure";
   }
   {
-    // The lock pairs with the condition-variable waits in await_job/wait_all:
-    // without it a waiter could check `finished`, lose the race to this
-    // store + notify, and then sleep forever.
+    // The lock pairs with the condition-variable waits in
+    // collect_outcome/wait_all: without it a waiter could check
+    // `finished`, lose the race to this store + notify, and then sleep
+    // forever.
     const std::lock_guard<std::mutex> lock(mutex_);
     job.finished.store(true, std::memory_order_release);
     unfinished_.fetch_sub(1, std::memory_order_relaxed);
@@ -125,17 +107,6 @@ BatchSolver::Job& BatchSolver::job_at(BatchJobId id) {
   return const_cast<Job&>(std::as_const(*this).job_at(id));
 }
 
-void BatchSolver::await_job(Job& job, BatchJobId id) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    job_finished_.wait(lock, [&job] {
-      return job.finished.load(std::memory_order_acquire);
-    });
-  }
-  ACOLAY_CHECK_MSG(!job.collected,
-                   "batch job " << id << " was already collected");
-}
-
 std::size_t BatchSolver::num_jobs() const {
   return first_job_ + jobs_.size();
 }
@@ -145,33 +116,23 @@ bool BatchSolver::done(BatchJobId id) const {
   return id < first_job_ || job_at(id).finished.load(std::memory_order_acquire);
 }
 
-const SolveOutcome* BatchSolver::poll_outcome(BatchJobId id) const {
-  const Job& job = job_at(id);
-  if (!job.finished.load(std::memory_order_acquire)) return nullptr;
-  ACOLAY_CHECK_MSG(!job.collected,
-                   "batch job " << id << " was already collected");
-  return &job.outcome;
-}
-
-const SolveOutcome& BatchSolver::wait_outcome(BatchJobId id) {
-  Job& job = job_at(id);
-  await_job(job, id);
-  return job.outcome;
-}
-
 SolveOutcome BatchSolver::collect_outcome(BatchJobId id) {
   Job& job = job_at(id);
-  await_job(job, id);
+  ACOLAY_CHECK_MSG(!job.collected,
+                   "batch job " << id << " was already collected");
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    job_finished_.wait(lock, [&job] {
+      return job.finished.load(std::memory_order_acquire);
+    });
+  }
   job.collected = true;
   SolveOutcome outcome = std::move(job.outcome);
   // Shed everything sized by the graph — on failure too, so an errored
   // job on the serving path cannot pin its snapshot forever. The O(1)
   // record stays behind only while an earlier job is uncollected.
   job.outcome = SolveOutcome{};
-  job.csr = graph::CsrView{};
-  job.owned_dag = graph::Digraph{};
-  job.request.graph = nullptr;
-  job.request.warm_tau = nullptr;
+  job.admitted = AdmittedRequest{};
   // Free the records themselves once everything before them is
   // collected too; ids stay submission indices via first_job_.
   while (!jobs_.empty() && jobs_.front().collected) {
@@ -201,9 +162,6 @@ BatchJobId submit_structured(BatchSolver& solver, const graph::Digraph& g,
 }
 
 AcoResult collect_structured(BatchSolver& solver, BatchJobId id) {
-  // collect_outcome(), not wait_outcome(): moves each result out and
-  // sheds the job's CSR snapshot as soon as it is harvested, so the run
-  // peaks at one copy of the result set instead of two.
   SolveOutcome outcome = solver.collect_outcome(id);
   ACOLAY_CHECK_MSG(outcome.ok(),
                    "batch job " << id << " was rejected ("

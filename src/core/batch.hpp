@@ -4,19 +4,18 @@
 // the walk is sequential by construction).
 //
 // Design:
-//  * admission (submit): the graph is validated (DAG, parameter ranges)
-//    and one frozen graph::CsrView is built up front; the colony later
-//    runs entirely against that snapshot.
+//  * admission (submit): core::admit validates the request, runs Phase 0
+//    and freezes one graph::CsrView up front; the colony later runs
+//    entirely against that snapshot.
 //  * scheduling: every job is one whole-colony task on the shared
 //    support::ThreadPool; the colony's ants run serially inside the task
 //    (the pool forbids nested parallelism, and colony results are
 //    thread-count invariant by design), so N jobs on K workers give
 //    near-linear corpus throughput with zero cross-job synchronisation.
-//  * determinism: a job's result depends only on (graph, effective
-//    params). Effective seeds are derived at admission (optionally
-//    params.seed + job id), never from scheduling, so a batch is
-//    bit-identical to N sequential AntColony::run() calls at any thread
-//    count and under any submission-order permutation of the same jobs.
+//  * determinism: a job's result depends only on its request (graph,
+//    params, policy), never on scheduling, so a batch is bit-identical to
+//    N sequential core::solve calls at any thread count and under any
+//    submission-order permutation of the same jobs.
 //  * workspace pooling: each pool worker owns one ColonyWorkspace, keyed
 //    by support::ThreadPool::worker_index() and grown to the largest
 //    admitted graph, so steady-state batch throughput is allocation-free
@@ -24,15 +23,15 @@
 //    beyond buffer capacity (pinned by tests/determinism_test.cpp), so
 //    worker-keying cannot leak one graph's search into another's.
 //
-// The API is submit/poll/wait for request-at-a-time serving plus a
-// blocking solve_all for whole-corpus workloads. The solver itself is
-// externally synchronised: submit/poll/wait are called from the owning
-// thread; only result completion is shared with the workers.
+// One way in, one way out: submit() admits a request, done() tells
+// whether its job finished, and collect_outcome() moves the outcome out
+// and frees the job; solve_all() is the blocking whole-corpus wrapper
+// over the same calls. The solver itself is externally synchronised:
+// these are called from the owning thread; only result completion is
+// shared with the workers.
 //
-// Requests arrive on the structured path (core::SolveRequest in,
-// core::SolveOutcome out): admission failures are AdmissionError codes in
-// the job's outcome, never exceptions — a rejected request produces a job
-// that is born finished.
+// Admission failures are AdmissionError codes in the job's outcome, never
+// exceptions — a rejected request produces a job that is born finished.
 #pragma once
 
 #include <atomic>
@@ -47,7 +46,6 @@
 #include "core/colony.hpp"
 #include "core/params.hpp"
 #include "core/request.hpp"
-#include "graph/csr.hpp"
 #include "graph/digraph.hpp"
 #include "support/thread_pool.hpp"
 
@@ -57,25 +55,14 @@ namespace acolay::core {
 /// done() after collect_outcome() frees the job's record).
 using BatchJobId = std::size_t;
 
-/// Configuration of a BatchSolver.
-struct BatchOptions {
-  /// Worker threads across colonies; 0 = hardware concurrency. Results
-  /// are bit-identical for any value (see tests/determinism_test.cpp).
-  int num_threads = 0;
-  /// Replace each job's seed with params.seed + job id at admission — the
-  /// harness convention for independent per-graph streams when one
-  /// AcoParams is shared across a corpus. Off by default: each job's
-  /// params are taken verbatim.
-  bool derive_seeds = false;
-};
-
 /// Concurrent many-graph colony solver: one whole-colony task per
 /// submitted job on a shared thread pool, bit-identical to sequential
-/// AntColony::run() calls (see the file comment for the design).
+/// core::solve calls (see the file comment for the design).
 class BatchSolver {
  public:
-  /// Spins up the worker pool per `options`.
-  explicit BatchSolver(BatchOptions options = {});
+  /// Spins up a pool of `num_threads` workers; 0 = hardware concurrency.
+  /// Results are bit-identical for any value (tests/determinism_test.cpp).
+  explicit BatchSolver(int num_threads = 0);
 
   /// Drains the queue: blocks until every submitted job has finished.
   ~BatchSolver();
@@ -83,8 +70,6 @@ class BatchSolver {
   BatchSolver(const BatchSolver&) = delete;
   BatchSolver& operator=(const BatchSolver&) = delete;
 
-  /// The options this solver was built with.
-  const BatchOptions& options() const { return options_; }
   /// Workers in the underlying pool (resolved hardware concurrency).
   std::size_t num_threads() const { return pool_.num_threads(); }
 
@@ -94,18 +79,14 @@ class BatchSolver {
   /// first submit(), so no worker reads the hook while it is being set.
   void set_on_job_done(std::function<void()> hook);
 
-  /// Admits one structured layering request: derives the effective seed
-  /// (options().derive_seeds), runs the shared admission gate
-  /// (validate_request), and — if admitted — freezes the CSR snapshot and
-  /// schedules the colony. A rejected request never throws: its job is
-  /// born finished carrying the AdmissionError outcome. The caller keeps
-  /// the request's graph (and warm_tau, if any) alive until the job's
-  /// outcome has been collected (the solver stores the pointers, not a
-  /// copy). The request's deadline/priority fields are ignored here —
-  /// BatchSolver dispatches in submission order; the serving layer's
-  /// queue is what honors them (docs/SERVING.md). Returns the job's id;
-  /// outcomes are retained until collect_outcome() (long-lived solvers
-  /// serving a request stream should collect).
+  /// Admits one layering request through core::admit (validation,
+  /// Phase 0, CSR freeze) and, if admitted, schedules its colony; jobs
+  /// dispatch in submission order. A rejected request never throws: its
+  /// job is born finished carrying the AdmissionError outcome. The caller
+  /// keeps the request's graph (and warm_tau, if any) alive until the
+  /// job's outcome has been collected (the solver stores the pointers, not
+  /// a copy). Returns the job's id; its outcome and snapshot are held
+  /// until collect_outcome().
   BatchJobId submit(const SolveRequest& request);
 
   /// Jobs submitted so far (finished or not, collected or not).
@@ -114,33 +95,23 @@ class BatchSolver {
   /// Whether job `id` has finished (successfully or with an error).
   bool done(BatchJobId id) const;
 
-  /// Non-blocking: the job's outcome once finished, nullptr while it is
-  /// still queued or running. Failures (admission or solve) are codes in
-  /// the outcome — this never throws for them (only for a bad/collected
-  /// id, which is a caller bug).
-  const SolveOutcome* poll_outcome(BatchJobId id) const;
-
-  /// Blocks until job `id` finishes; returns its outcome (owned by the
-  /// solver). Failures are codes in the outcome, never exceptions.
-  const SolveOutcome& wait_outcome(BatchJobId id);
-
-  /// Like wait_outcome(), but moves the outcome out and releases the
-  /// job's frozen CSR snapshot and graph pointer — the long-running
-  /// serving path: the caller may drop the graph afterwards, and once
-  /// every earlier job is collected too the record itself is freed, so a
-  /// solver fed an unbounded request stream holds only the jobs still
-  /// uncollected. A collected job stays done(); further accessor calls on
-  /// it throw.
+  /// Blocks until job `id` finishes, moves its outcome out and releases
+  /// the job's frozen CSR snapshot and graph pointer: the caller may drop
+  /// the graph afterwards, and once every earlier job is collected too the
+  /// record itself is freed, so a solver fed an unbounded request stream
+  /// holds only the jobs still uncollected. Failures (admission or solve)
+  /// are codes in the outcome, never exceptions. A collected job stays
+  /// done(); collecting it again throws support::CheckError, as does an
+  /// unknown id.
   SolveOutcome collect_outcome(BatchJobId id);
 
   /// Blocks until every submitted job has finished. Job failures stay in
-  /// their outcomes (wait_outcome()/poll_outcome()).
+  /// their outcomes (collect_outcome()).
   void wait_all();
 
-  /// Blocking convenience: submits every graph with `params` (seeds
-  /// derived per job when options().derive_seeds) and returns the results
-  /// in input order. Throws support::CheckError if any job was rejected or
-  /// failed.
+  /// Blocking convenience: submits every graph with `params` and returns
+  /// the results in input order. Throws support::CheckError if any job was
+  /// rejected or failed.
   std::vector<AcoResult> solve_all(std::span<const graph::Digraph> graphs,
                                    const AcoParams& params);
 
@@ -150,15 +121,9 @@ class BatchSolver {
 
  private:
   struct Job {
-    explicit Job(const SolveRequest& r) : request(r) {}
-
-    SolveRequest request;  ///< effective request (seed already derived)
-    /// Phase 0 storage: when a cyclic graph was admitted under a
-    /// non-reject CyclePolicy, the job owns the reoriented DAG and
-    /// request.graph points here instead of at the caller's graph.
-    /// Released by collect, like the snapshot.
-    graph::Digraph owned_dag;
-    graph::CsrView csr;    ///< frozen at admission, released by collect
+    /// What the colony task runs on (the DAG and its CSR snapshot);
+    /// released by collect.
+    AdmittedRequest admitted;
     SolveOutcome outcome;  ///< result or structured failure
     bool collected = false;  ///< outcome moved out, snapshot released
     std::atomic<bool> finished{false};
@@ -167,11 +132,7 @@ class BatchSolver {
   void run_job(Job& job);
   const Job& job_at(BatchJobId id) const;
   Job& job_at(BatchJobId id);
-  /// Blocks until `job` finishes and rejects already-collected jobs
-  /// (shared by wait_outcome/collect_outcome).
-  void await_job(Job& job, BatchJobId id);
 
-  BatchOptions options_;
   std::function<void()> on_job_done_;
   /// Job records from id first_job_ on; collect_outcome() pops collected
   /// jobs off the front. Deque for stable addresses (workers hold

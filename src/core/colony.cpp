@@ -3,34 +3,20 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/longest_path.hpp"
 #include "core/request.hpp"
 #include "core/stretch.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/csr.hpp"
+#include "support/check.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace acolay::core {
-
-void validate_aco_params(const AcoParams& params) {
-  ACOLAY_CHECK(params.num_ants >= 1);
-  ACOLAY_CHECK(params.num_tours >= 0);
-  ACOLAY_CHECK(params.alpha >= 0.0);
-  ACOLAY_CHECK(params.beta >= 0.0);
-  ACOLAY_CHECK(params.rho >= 0.0 && params.rho <= 1.0);
-  ACOLAY_CHECK(params.dummy_width >= 0.0);
-  ACOLAY_CHECK(params.eta_epsilon > 0.0);
-  // Ranges the run would only trip over mid-search (PheromoneMatrix /
-  // deposit / clamp contract checks) fail fast here instead, so
-  // BatchSolver::submit's validate-at-admission promise holds for every
-  // parameter.
-  ACOLAY_CHECK(params.tau0 > 0.0);
-  ACOLAY_CHECK(params.deposit >= 0.0);
-  ACOLAY_CHECK(params.tau_min <= params.tau_max);
-}
 
 void ColonyWorkspace::reserve(std::size_t num_ants, std::size_t num_vertices,
                               std::size_t num_layers) {
@@ -210,26 +196,28 @@ AntColony::AntColony(const graph::Digraph& g, AcoParams params)
     : AntColony(g, params, CyclePolicy::kReject) {}
 
 AntColony::AntColony(const graph::Digraph& g, AcoParams params,
-                     CyclePolicy policy)
-    : graph_(&g), params_(params) {
-  if (policy == CyclePolicy::kReject) {
-    ACOLAY_CHECK_MSG(graph::is_dag(g), "AntColony requires a DAG");
-  } else {
-    CycleResolution phase0;
-    resolve_cycles(g, policy, params_.seed, phase0);
-    reversed_edges_ = std::move(phase0.reversed_edges);
-    if (phase0.graph != &g) reoriented_ = std::move(phase0.owned);
-  }
-  validate_aco_params(params_);
+                     CyclePolicy policy) {
+  SolveRequest request;
+  request.graph = &g;
+  request.params = params;
+  request.cycle_policy = policy;
+  auto admitted = std::make_shared<AdmittedRequest>();
+  std::string message;
+  const AdmissionError error = admit(request, *admitted, &message);
+  ACOLAY_CHECK_MSG(error == AdmissionError::kNone,
+                   "AntColony: " << admission_error_code(error) << ": "
+                                 << message);
+  admitted_ = std::move(admitted);
 }
 
-AcoResult AntColony::run() const {
-  // Phase 0 already ran at construction, so the request carries the DAG
-  // under kReject; the constructor's checks guarantee admission.
-  SolveRequest request;
-  request.graph = reoriented_ ? &*reoriented_ : graph_;
-  request.params = params_;
-  return solve(request).result;
+AcoResult AntColony::run() const { return solve(*admitted_).result; }
+
+const AcoParams& AntColony::params() const {
+  return admitted_->request.params;
+}
+
+const std::vector<graph::Edge>& AntColony::reversed_edges() const {
+  return admitted_->reversed_edges;
 }
 
 }  // namespace acolay::core

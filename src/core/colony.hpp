@@ -17,7 +17,7 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "core/ant.hpp"
@@ -60,11 +60,6 @@ struct AcoResult {
   double initial_objective = 0.0;
 };
 
-/// Validates the AcoParams ranges every colony entry point requires
-/// (AntColony's constructor and BatchSolver::submit). Throws
-/// support::CheckError on the first violated bound.
-void validate_aco_params(const AcoParams& params);
-
 /// A whole colony's reusable working set: one WalkWorkspace per ant slot,
 /// the per-ant walk results the tour reduction reads, and the pheromone
 /// matrix — everything run_colony resets in place, so a workspace reused
@@ -97,8 +92,8 @@ struct ColonyWorkspace {
 /// reduction), which is what lets BatchSolver run whole colonies as
 /// single-threaded pool tasks.
 ///
-/// Preconditions (validated by the public entry points): `g` is a DAG,
-/// `csr` is a snapshot of `g`, and `params` passes validate_aco_params.
+/// Preconditions (established by core::admit): `g` is a DAG, `csr` is a
+/// snapshot of `g`, and `params` passes validate_request.
 ///
 /// `tau_io` is the warm-pheromone hook for the serving layer: when
 /// non-null and already sized exactly (n, stretched layer count), the run
@@ -127,19 +122,22 @@ AcoResult run_colony(const graph::Digraph& g, const graph::CsrView& csr,
 /// Preconditions: `start` is a valid layering of the graph `csr` snapshots,
 /// within [1, num_layers]; `ws.tau` is sized exactly
 /// (csr.num_vertices(), num_layers); and `params` passes
-/// validate_aco_params. Allocation-free once `ws` and `result` have
-/// reached their high-water sizes.
+/// validate_request. Allocation-free once `ws` and `result` have reached
+/// their high-water sizes.
 void run_tours(const graph::CsrView& csr, const AcoParams& params,
                const layering::Layering& start, int num_layers,
                ColonyWorkspace& ws, support::ThreadPool* ant_pool,
                AcoResult& result);
 
-/// The paper's colony, bound to one graph: a facade over core::solve that
-/// validates its inputs at construction, throwing support::CheckError
-/// where solve() would return an AdmissionError code. Copies are
-/// independent: the colony borrows the caller's graph (which must outlive
-/// it) and owns only Phase 0's reoriented DAG, never a pointer into
-/// itself.
+struct AdmittedRequest;  // core/request.hpp
+
+/// The paper's colony, bound to one graph: a facade over core::admit and
+/// core::solve. The constructor admits (validation, Phase 0, CSR freeze),
+/// throwing support::CheckError where admit would return an
+/// AdmissionError code; run() only runs the colony. Copies share the
+/// immutable admitted request, so they stay valid after the source is
+/// gone. The caller's graph is borrowed: it must outlive every copy and
+/// stay unchanged.
 class AntColony {
  public:
   /// Requires a DAG (CyclePolicy::kReject).
@@ -156,21 +154,14 @@ class AntColony {
   AcoResult run() const;
 
   /// The validated parameters this colony runs with.
-  const AcoParams& params() const { return params_; }
+  const AcoParams& params() const;
 
   /// The edges Phase 0 reversed at construction, original orientation
   /// (empty for DAG inputs and under CyclePolicy::kReject).
-  const std::vector<graph::Edge>& reversed_edges() const {
-    return reversed_edges_;
-  }
+  const std::vector<graph::Edge>& reversed_edges() const;
 
  private:
-  const graph::Digraph* graph_;  ///< the caller's graph (borrowed)
-  AcoParams params_;
-  /// Phase 0's reoriented DAG when the input was cyclic; run() layers it
-  /// instead of `*graph_`.
-  std::optional<graph::Digraph> reoriented_;
-  std::vector<graph::Edge> reversed_edges_;
+  std::shared_ptr<const AdmittedRequest> admitted_;
 };
 
 }  // namespace acolay::core

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "graph/algorithms.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
@@ -12,24 +11,24 @@ namespace acolay::core {
 
 IncrementalSolver::IncrementalSolver(graph::Digraph g, AcoParams params,
                                      IncrementalOptions options)
-    : graph_(std::move(g)), params_(params), options_(options) {
-  validate_aco_params(params_);
+    : params_(params), options_(options) {
   ACOLAY_CHECK(options_.update_tours >= 0);
-  ACOLAY_CHECK(options_.update_stagnation_tours >= 1);
   ACOLAY_CHECK(options_.churn_threshold >= 0.0);
-  if (options_.cycle_policy == CyclePolicy::kReject) {
-    ACOLAY_CHECK_MSG(graph::is_dag(graph_),
-                     "IncrementalSolver requires a DAG");
-  } else {
-    // Phase 0: the session's evolving instance is the reoriented DAG.
-    CycleResolution phase0;
-    resolve_cycles(graph_, options_.cycle_policy, params_.seed, phase0);
-    if (phase0.graph != &graph_) {
-      graph_ = std::move(phase0.owned);
-      initial_reversed_ = std::move(phase0.reversed_edges);
-    }
-  }
-  csr_.rebuild(graph_);
+  SolveRequest request;
+  request.graph = &g;
+  request.params = params_;
+  request.cycle_policy = options_.cycle_policy;
+  AdmittedRequest admitted;
+  std::string message;
+  const AdmissionError error = admit(request, admitted, &message);
+  ACOLAY_CHECK_MSG(error == AdmissionError::kNone,
+                   "IncrementalSolver: " << admission_error_code(error)
+                                         << ": " << message);
+  // The session's evolving instance is the DAG admission produced.
+  graph_ = admitted.reoriented ? std::move(*admitted.reoriented)
+                               : std::move(g);
+  initial_reversed_ = std::move(admitted.reversed_edges);
+  csr_ = std::move(admitted.csr);
   fingerprint_ = csr_.fingerprint();
   if (params_.num_threads != 1) {
     pool_ = std::make_unique<support::ThreadPool>(
@@ -243,6 +242,8 @@ const SolveOutcome& IncrementalSolver::update(const graph::GraphDelta& delta) {
     // Phase 0 on the post-delta graph, seeded like the update run below so
     // the session stays a pure function of (initial graph, params, deltas).
     CycleResolution phase0;
+    // lint:allow-next-line(one-admission-path) -- the session was admitted
+    // at construction; this breaks only the cycles a delta introduced
     resolve_cycles(scratch_graph_, options_.cycle_policy,
                    params_.seed + static_cast<std::uint64_t>(num_updates_) + 1,
                    phase0);
@@ -268,14 +269,14 @@ const SolveOutcome& IncrementalSolver::update(const graph::GraphDelta& delta) {
               graph_.num_vertices(),
               static_cast<std::size_t>(num_layers()));
 
-  // Shortened warm budget; kStop makes a converged re-solve exit after
-  // update_stagnation_tours quiet tours. The seed advances per update so
-  // successive re-solves explore fresh streams while the whole sequence
-  // stays a pure function of (initial graph, params, deltas).
+  // Shortened warm budget; kStop makes a converged re-solve exit after its
+  // first quiet tour. The seed advances per update so successive re-solves
+  // explore fresh streams while the whole sequence stays a pure function
+  // of (initial graph, params, deltas).
   AcoParams run_params = params_;
   run_params.num_tours = options_.update_tours;
   run_params.stagnation = StagnationPolicy::kStop;
-  run_params.stagnation_tours = options_.update_stagnation_tours;
+  run_params.stagnation_tours = 1;
   run_params.seed =
       params_.seed + static_cast<std::uint64_t>(num_updates_) + 1;
 

@@ -56,10 +56,9 @@ namespace acolay::core {
 /// Tunables of the incremental re-solve path.
 struct IncrementalOptions {
   /// Tour budget per update (the cold budget is AcoParams::num_tours).
+  /// An update stops early after its first tour in which no ant moved a
+  /// vertex (StagnationPolicy::kStop with one stagnant tour).
   int update_tours = 3;
-  /// Consecutive zero-move tours before an update stops early
-  /// (StagnationPolicy::kStop is always applied to updates).
-  int update_stagnation_tours = 1;
   /// Edge churn fraction above which refreeze falls back to a full
   /// rebuild (forwarded to CsrView::refreeze).
   double churn_threshold = 0.25;
@@ -98,13 +97,12 @@ inline constexpr double kIncrementalMeanTolerance = 0.08;
 /// re-solves warm. See the file comment for the full mechanism.
 class IncrementalSolver {
  public:
-  /// Takes ownership of `g` (the evolving instance). Validates the params
-  /// ranges and — under CyclePolicy::kReject — that `g` is a DAG
-  /// (support::CheckError on violation, like AntColony's constructor);
-  /// the other policies reorient a cyclic `g` here, Phase 0 style (the
-  /// reversal is reported by initial_reversed_edges() and by the first
-  /// solve()). Per-delta problems are reported as structured outcomes
-  /// instead.
+  /// Takes ownership of `g` (the evolving instance) and admits it through
+  /// core::admit: the params ranges and — under CyclePolicy::kReject —
+  /// acyclicity are checked (support::CheckError on violation, like
+  /// AntColony's constructor); the other policies reorient a cyclic `g`
+  /// here, Phase 0 style, and solve() reports the reversal. Per-delta
+  /// problems are reported as structured outcomes instead.
   IncrementalSolver(graph::Digraph g, AcoParams params,
                     IncrementalOptions options = {});
 
@@ -129,16 +127,12 @@ class IncrementalSolver {
   /// Whether solve()/adopt() has established state for update() to build
   /// on.
   bool has_state() const { return has_state_; }
-  /// The edges the constructor reversed to make a cyclic initial graph
-  /// acyclic (original orientation; empty under CyclePolicy::kReject or
-  /// for DAG inputs). graph() is the reoriented instance.
-  const std::vector<graph::Edge>& initial_reversed_edges() const {
-    return initial_reversed_;
-  }
 
   /// Cold full-budget solve of the current graph, retaining the final
   /// pheromone matrix and best layering as the warm state for subsequent
-  /// updates. Returns a borrowed outcome, valid until the next call.
+  /// updates. Its reversed_edges are the ones the constructor's Phase 0
+  /// reversed (graph() is the reoriented instance). Returns a borrowed
+  /// outcome, valid until the next call.
   const SolveOutcome& solve();
 
   /// Adopts externally-computed warm state instead of solve(): `tau` is
@@ -190,7 +184,7 @@ class IncrementalSolver {
   int num_updates_ = 0;
   bool has_state_ = false;
   graph::RefreezeKind last_refreeze_ = graph::RefreezeKind::kFull;
-  /// Constructor-time Phase 0 reversal (see initial_reversed_edges()).
+  /// Constructor-time Phase 0 reversal, reported by solve().
   std::vector<graph::Edge> initial_reversed_;
 
   // Update scratch, persisted for allocation-free steady state.

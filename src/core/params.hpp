@@ -85,8 +85,8 @@ enum class StretchMode {
 };
 
 /// All tunables of the ACO layering search, with the paper's production
-/// configuration as defaults. Validated by core::validate_aco_params at
-/// every colony entry point.
+/// configuration as defaults. Validated by core::admit (validate_request)
+/// at every colony entry point.
 struct AcoParams {
   int num_ants = 10;   ///< colony size (walks per tour)
   int num_tours = 10;  ///< paper §V-C: "10 was the value we used"

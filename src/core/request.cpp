@@ -3,12 +3,33 @@
 #include <utility>
 
 #include "graph/algorithms.hpp"
-#include "graph/csr.hpp"
 #include "graph/cycle_removal.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
 namespace acolay::core {
+
+namespace {
+
+/// The AcoParams ranges the colony requires; throws support::CheckError on
+/// the first violated bound (validate_request turns it into kBadParam).
+void validate_aco_params(const AcoParams& params) {
+  ACOLAY_CHECK(params.num_ants >= 1);
+  ACOLAY_CHECK(params.num_tours >= 0);
+  ACOLAY_CHECK(params.alpha >= 0.0);
+  ACOLAY_CHECK(params.beta >= 0.0);
+  ACOLAY_CHECK(params.rho >= 0.0 && params.rho <= 1.0);
+  ACOLAY_CHECK(params.dummy_width >= 0.0);
+  ACOLAY_CHECK(params.eta_epsilon > 0.0);
+  // Ranges the run would only trip over mid-search (PheromoneMatrix /
+  // deposit / clamp contract checks) fail fast here instead, so every
+  // parameter is checked at admission.
+  ACOLAY_CHECK(params.tau0 > 0.0);
+  ACOLAY_CHECK(params.deposit >= 0.0);
+  ACOLAY_CHECK(params.tau_min <= params.tau_max);
+}
+
+}  // namespace
 
 const char* cycle_policy_name(CyclePolicy policy) {
   switch (policy) {
@@ -95,34 +116,51 @@ void resolve_cycles(const graph::Digraph& g, CyclePolicy policy,
   out.graph = &out.owned;
 }
 
-SolveOutcome solve(const SolveRequest& request) {
-  SolveOutcome outcome;
-  outcome.error = validate_request(request, &outcome.message);
-  if (!outcome.ok()) return outcome;
+AdmissionError admit(const SolveRequest& request, AdmittedRequest& out,
+                     std::string* message) {
+  out = AdmittedRequest{};
+  const AdmissionError error = validate_request(request, message);
+  if (error != AdmissionError::kNone) return error;
+  out.request = request;
   CycleResolution phase0;
   resolve_cycles(*request.graph, request.cycle_policy, request.params.seed,
                  phase0);
-  outcome.reversed_edges = std::move(phase0.reversed_edges);
-
+  if (phase0.graph != request.graph) out.reoriented = std::move(phase0.owned);
+  out.reversed_edges = std::move(phase0.reversed_edges);
   // One frozen CSR snapshot serves every walk and metrics evaluation of
   // the run: the ants only read the topology.
-  const graph::Digraph& g = *phase0.graph;
-  const graph::CsrView csr(g);
-  const AcoParams& params = request.params;
+  out.csr.rebuild(out.dag());
+  return AdmissionError::kNone;
+}
+
+SolveOutcome solve(const AdmittedRequest& admitted) {
+  SolveOutcome outcome;
+  outcome.reversed_edges = admitted.reversed_edges;
+  const graph::Digraph& g = admitted.dag();
+  const AcoParams& params = admitted.request.params;
+  PheromoneMatrix* warm_tau = admitted.request.warm_tau;
   ColonyWorkspace ws;
   if (params.num_threads == 1 || g.num_vertices() == 0) {
     // Serial ants need no pool; spawning a one-worker pool here would
     // create and join an OS thread that parallel_for's single-thread
     // shortcut never hands a walk anyway.
-    outcome.result =
-        run_colony(g, csr, params, ws, /*ant_pool=*/nullptr, request.warm_tau);
+    outcome.result = run_colony(g, admitted.csr, params, ws,
+                                /*ant_pool=*/nullptr, warm_tau);
   } else {
     support::ThreadPool pool(params.num_threads <= 0
                                  ? 0
                                  : static_cast<std::size_t>(params.num_threads));
-    outcome.result = run_colony(g, csr, params, ws, &pool, request.warm_tau);
+    outcome.result = run_colony(g, admitted.csr, params, ws, &pool, warm_tau);
   }
   return outcome;
+}
+
+SolveOutcome solve(const SolveRequest& request) {
+  AdmittedRequest admitted;
+  SolveOutcome outcome;
+  outcome.error = admit(request, admitted, &outcome.message);
+  if (!outcome.ok()) return outcome;
+  return solve(admitted);
 }
 
 }  // namespace acolay::core

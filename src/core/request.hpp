@@ -1,26 +1,28 @@
-// The unified request/response surface of the solver (PR 7 API redesign).
+// The request/response surface of the solver and its one admission path.
 //
-// Every entry point into the colony engine — the one-shot solve() below
-// (and the AntColony facade over it), BatchSolver::submit, and the serving
-// layer's wire protocol — consumes one core::SolveRequest and reports
-// admission failures as structured AdmissionError codes in a
-// core::SolveOutcome, instead of the three call sites each throwing bare
-// exceptions with inconsistent messages. Only AntColony's constructor
-// still throws (support::CheckError), for the paper-facing API.
+// Every solver admits a core::SolveRequest through core::admit: the shared
+// validation gate (validate_request), then Phase 0 (resolve_cycles, the
+// cycle policy), then the CSR freeze of the DAG the colony runs on. The
+// one-shot core::solve, BatchSolver::submit and the AntColony and
+// IncrementalSolver constructors all call it, so a check added to admit
+// covers every solver. Admission failures come back as structured
+// AdmissionError codes in a core::SolveOutcome, never as exceptions; only
+// the AntColony and IncrementalSolver constructors turn them into
+// support::CheckError.
 //
-// A request carries the full scheduling envelope (deadline, priority,
-// warm-start hook). The core solvers deliberately ignore the scheduling
-// fields — they are honored by the serving layer's request queue
-// (src/server/, docs/SERVING.md) — so the same struct travels unchanged
-// from the wire to the colony.
+// The serving layer's scheduling envelope (deadline, priority) is not part
+// of the request: the daemon parses it into server::ParsedRequest and its
+// queue honors it before the request reaches admit (docs/SERVING.md).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/colony.hpp"
 #include "core/params.hpp"
+#include "graph/csr.hpp"
 #include "graph/digraph.hpp"
 
 namespace acolay::core {
@@ -47,9 +49,10 @@ enum class AdmissionError {
 /// docs/SERVING.md.
 const char* admission_error_code(AdmissionError error);
 
-/// One layering request: the graph, the search parameters, and the
-/// scheduling envelope. The graph is borrowed — the caller keeps it alive
-/// until the outcome has been produced (BatchSolver: until collected).
+/// One layering request: the graph, the search parameters, the cycle
+/// policy and the warm-start hook. The graph is borrowed — the caller
+/// keeps it alive until the outcome has been produced (BatchSolver: until
+/// collected).
 struct SolveRequest {
   /// The graph to layer. Must be non-null at every entry point. Must be a
   /// DAG under CyclePolicy::kReject; the other policies admit any digraph.
@@ -65,15 +68,6 @@ struct SolveRequest {
   /// and seeded from params.seed, so the reversal set and the layering are
   /// bit-identical at any thread count.
   CyclePolicy cycle_policy = CyclePolicy::kReject;
-
-  /// Relative deadline in seconds from admission; <= 0 means none. Only
-  /// the serving layer's queue honors it (expired requests are shed
-  /// before solving, never mid-solve); the core solvers ignore it.
-  double deadline_seconds = 0.0;
-
-  /// Queue priority: higher dispatches first, ties in arrival order.
-  /// Honored by the serving layer's queue; the core solvers ignore it.
-  int priority = 0;
 
   /// Warm-pheromone hook (see run_colony's tau_io contract): when
   /// non-null the run starts from this matrix if its shape matches and
@@ -103,10 +97,12 @@ struct SolveOutcome {
   bool ok() const { return error == AdmissionError::kNone; }
 };
 
-/// The shared admission gate: checks the graph (present; acyclic unless
-/// the cycle policy admits cycles) and the params ranges. Returns the
-/// verdict and, when `message` is non-null, fills it with the failure
-/// detail (cleared on success). Never throws.
+/// The validation gate, admit()'s first step: checks the graph (present;
+/// acyclic unless the cycle policy admits cycles) and the params ranges.
+/// Returns the verdict and, when `message` is non-null, fills it with the
+/// failure detail (cleared on success). Never throws. The serving layer
+/// also calls it alone at push time, so an invalid frame never occupies a
+/// queue slot.
 AdmissionError validate_request(const SolveRequest& request,
                                 std::string* message);
 
@@ -121,22 +117,62 @@ struct CycleResolution {
   std::vector<graph::Edge> reversed_edges;
 };
 
-/// Phase 0 of every solve path: makes an admitted graph acyclic per the
-/// policy. DAG inputs (and kReject, whose admission gate already
-/// guaranteed a DAG) pass through borrowed and unchanged; cyclic inputs
-/// get a feedback arc set reversed — greedy (graph::make_acyclic) under
-/// kGreedyReverse, ACO-guided (graph::make_acyclic_aco, seeded from
-/// `seed`) under kAcoFas. Deterministic and serial; `out` is overwritten.
+/// Phase 0, admit()'s second step: makes a validated graph acyclic per the
+/// policy. DAG inputs (and kReject, whose validation already guaranteed a
+/// DAG) pass through borrowed and unchanged; cyclic inputs get a feedback
+/// arc set reversed — greedy (graph::make_acyclic) under kGreedyReverse,
+/// ACO-guided (graph::make_acyclic_aco, seeded from `seed`) under kAcoFas.
+/// Deterministic and serial; `out` is overwritten. Solvers enter through
+/// admit(); the only other caller is IncrementalSolver::update, which
+/// breaks the cycles a delta introduces.
 void resolve_cycles(const graph::Digraph& g, CyclePolicy policy,
                     std::uint64_t seed, CycleResolution& out);
 
-/// One-shot structured solve, the single way into the colony for one
-/// graph: validates, runs Phase 0, freezes a CSR snapshot, and runs the
-/// colony with serial ants (params.num_threads == 1) or on a transient
-/// pool of params.num_threads workers (0 = hardware concurrency). Admission
-/// failures come back as codes, never exceptions; AntColony is the
-/// throwing facade over this call. Request streams go through BatchSolver
-/// and edit sessions through IncrementalSolver.
+/// A request that passed admission: the request as submitted, Phase 0's
+/// output and the frozen CSR of the DAG the colony runs on. It holds no
+/// pointer into itself, so copies and moves are independent of their
+/// source; `request.graph` (and `request.warm_tau`) stay borrowed, and the
+/// caller keeps them alive and unchanged while the admitted request is in
+/// use.
+struct AdmittedRequest {
+  /// The request as admitted.
+  SolveRequest request;
+  /// Phase 0's reoriented DAG when the input was cyclic; empty otherwise.
+  std::optional<graph::Digraph> reoriented;
+  /// The edges Phase 0 reversed, original orientation and input edge
+  /// order (empty for DAG inputs and under CyclePolicy::kReject).
+  std::vector<graph::Edge> reversed_edges;
+  /// Frozen snapshot of dag(): every walk and metrics evaluation of the
+  /// run reads it.
+  graph::CsrView csr;
+
+  /// The DAG the colony layers: Phase 0's reoriented graph if there is
+  /// one, otherwise the caller's graph.
+  const graph::Digraph& dag() const {
+    return reoriented ? *reoriented : *request.graph;
+  }
+};
+
+/// The one way into the colony: validate_request, then Phase 0
+/// (resolve_cycles under the request's policy, seeded from params.seed),
+/// then the CSR freeze of the resulting DAG. Returns validate_request's
+/// verdict and, when `message` is non-null, its message. `out` is
+/// overwritten, and left empty on a rejection. Never throws for a bad
+/// request.
+AdmissionError admit(const SolveRequest& request, AdmittedRequest& out,
+                     std::string* message);
+
+/// Runs the colony on an admitted request with serial ants
+/// (params.num_threads == 1) or on a transient pool of params.num_threads
+/// workers (0 = hardware concurrency). No validation and no freeze: the
+/// admitted request already carries both. The outcome reports the
+/// admitted request's reversed_edges.
+SolveOutcome solve(const AdmittedRequest& admitted);
+
+/// One-shot structured solve: admit() followed by solve(admitted).
+/// Admission failures come back as codes, never exceptions; AntColony is
+/// the throwing facade over the same two steps. Request streams go through
+/// BatchSolver and edit sessions through IncrementalSolver.
 SolveOutcome solve(const SolveRequest& request);
 
 }  // namespace acolay::core

@@ -33,9 +33,8 @@ ExperimentResult run_corpus_experiment(const gen::Corpus& corpus,
         const auto& g = corpus.graphs[graph_index];
         RunOptions run = opts.run;
         run.aco.num_threads = 1;  // graph-level parallelism instead
-        if (opts.derive_seeds) {
-          run.aco.seed = opts.run.aco.seed + graph_index;
-        }
+        // Per-graph seed keeps the graphs' streams independent.
+        run.aco.seed = opts.run.aco.seed + graph_index;
         run.aco.record_trace = false;
         for (std::size_t a = 0; a < algs.size(); ++a) {
           const auto run_result = run_algorithm(algs[a], g, run);

@@ -42,8 +42,6 @@ struct ExperimentOptions {
   RunOptions run;
   /// Worker threads across graphs (0 = hardware concurrency).
   int num_threads = 0;
-  /// Per-graph ACO seed = aco.seed + graph index (keeps runs independent).
-  bool derive_seeds = true;
 };
 
 /// Runs every algorithm on every corpus graph and aggregates per group.

@@ -126,8 +126,8 @@ int main(int argc, char** argv) {
       std::size_t parsed = 0;
       if (!take_value(value)) return missing_value();
       if (!parse_size(value, parsed)) return bad_value(value);
-      // BatchOptions::num_threads is an int; an unchecked cast would wrap
-      // values past INT_MAX into negative/garbage thread counts.
+      // BatchSolver takes its thread count as an int; an unchecked cast
+      // would wrap values past INT_MAX into negative/garbage thread counts.
       if (parsed > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
         std::cerr << "acolay_serve: value '" << value << "' out of range for "
                   << "'--threads' (max " << std::numeric_limits<int>::max()

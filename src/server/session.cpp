@@ -14,13 +14,6 @@ namespace {
 
 using core::AdmissionError;
 
-core::BatchOptions solver_options(const ServeOptions& options) {
-  core::BatchOptions batch;
-  batch.num_threads = options.num_threads;
-  batch.derive_seeds = false;  // the wire seed is authoritative
-  return batch;
-}
-
 /// Adjacency-ORDER-sensitive graph comparison for the dedup guard.
 /// Digraph::operator== deliberately sorts adjacency (set equality), which
 /// is too weak here: BFS orders and float accumulation depend on the
@@ -95,7 +88,7 @@ Server::Server(ServeOptions options)
                                return stopwatch_.elapsed_seconds();
                              })),
       queue_(options.max_queue_depth),
-      solver_(solver_options(options)) {
+      solver_(options.num_threads) {
   max_inflight_ = options_.max_inflight == 0 ? solver_.num_threads()
                                              : options_.max_inflight;
   if (max_inflight_ == 0) max_inflight_ = 1;

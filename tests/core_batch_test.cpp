@@ -77,7 +77,7 @@ TEST(BatchSolver, PerGraphParamsVariantMatchesSequentialLoop) {
   }
 }
 
-TEST(BatchSolver, SubmitPollWaitLifecycle) {
+TEST(BatchSolver, SubmitDoneCollectLifecycle) {
   const auto graphs = test::random_battery(5);
   core::BatchSolver solver;
 
@@ -86,12 +86,8 @@ TEST(BatchSolver, SubmitPollWaitLifecycle) {
   EXPECT_EQ(solver.num_jobs(), graphs.size());
 
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto& result = test::wait_result(solver, ids[i]);
-    EXPECT_TRUE(solver.done(ids[i]));
-    // poll after completion returns the same stored outcome.
-    const auto* polled = solver.poll_outcome(ids[i]);
-    ASSERT_NE(polled, nullptr);
-    EXPECT_EQ(&polled->result, &result);
+    const auto result = test::wait_result(solver, ids[i]);
+    EXPECT_TRUE(solver.done(ids[i]));  // stays done once collected
     EXPECT_TRUE(layering::is_valid_layering(graphs[i], result.layering));
   }
 }
@@ -103,21 +99,6 @@ TEST(BatchSolver, WaitAllFinishesEveryJob) {
   for (const auto& g : graphs) ids.push_back(test::submit_request(solver, g, small_params()));
   solver.wait_all();
   for (const auto id : ids) EXPECT_TRUE(solver.done(id));
-}
-
-TEST(BatchSolver, DeriveSeedsMatchesManualDerivation) {
-  const auto graphs = test::random_battery(5);
-  const auto base = small_params(7000);
-
-  core::BatchSolver solver(core::BatchOptions{0, /*derive_seeds=*/true});
-  const auto batch = solver.solve_all(graphs, base);
-
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    auto derived = base;
-    derived.seed = base.seed + i;
-    const auto sequential = core::AntColony(graphs[i], derived).run();
-    expect_same_result(batch[i], sequential);
-  }
 }
 
 TEST(BatchSolver, ResultsStableUnderSubmissionOrderPermutation) {
@@ -182,14 +163,12 @@ TEST(BatchSolver, CollectMovesTheResultAndReleasesTheJob) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const auto collected = solver.collect_outcome(ids[i]);
     ASSERT_TRUE(collected.ok());
-    const auto& reference = test::wait_result(
+    const auto reference = test::wait_result(
         reference_solver, test::submit_request(reference_solver, graphs[i], params));
     expect_same_result(collected.result, reference);
-    // The job stays done but its stored state is gone: wait/poll/collect
-    // on a collected job are contract violations, not silent empties.
+    // The job stays done but its stored state is gone: collecting it again
+    // is a contract violation, not a silent empty.
     EXPECT_TRUE(solver.done(ids[i]));
-    EXPECT_THROW(solver.poll_outcome(ids[i]), support::CheckError);
-    EXPECT_THROW(solver.wait_outcome(ids[i]), support::CheckError);
     EXPECT_THROW(solver.collect_outcome(ids[i]), support::CheckError);
   }
   // Collecting early jobs must not disturb later ones.
@@ -217,13 +196,10 @@ TEST(BatchSolver, CollectedIdsStayDoneAfterTheirRecordsAreFreed) {
   ASSERT_TRUE(solver.collect_outcome(ids[0]).ok());
   for (const auto id : {ids[0], ids[1]}) {
     EXPECT_TRUE(solver.done(id));
-    EXPECT_THROW(solver.poll_outcome(id), support::CheckError);
-    EXPECT_THROW(solver.wait_outcome(id), support::CheckError);
     EXPECT_THROW(solver.collect_outcome(id), support::CheckError);
   }
   // Ids stay submission indices: the live jobs and new ones are unmoved.
   EXPECT_EQ(solver.num_jobs(), 4u);
-  EXPECT_TRUE(solver.wait_outcome(ids[2]).ok());
   const auto next = test::submit_request(solver, graphs[0], params);
   EXPECT_EQ(next, 4u);
   EXPECT_EQ(solver.num_jobs(), 5u);
@@ -243,7 +219,7 @@ TEST(BatchSolver, JobDoneHookFiresOncePerJobRejectionsIncluded) {
   bad.num_ants = 0;
   std::atomic<std::size_t> calls{0};
   {
-    core::BatchSolver solver(core::BatchOptions{2, false});
+    core::BatchSolver solver(2);
     solver.set_on_job_done([&calls] { calls.fetch_add(1); });
     for (const auto& g : graphs) {
       test::submit_request(solver, g, small_params());
@@ -266,7 +242,7 @@ TEST(BatchSolver, RejectsCyclicGraphsAtAdmission) {
   // The rejection is a born-finished outcome, not a throw.
   const auto id = test::submit_request(solver, cyclic, small_params());
   EXPECT_TRUE(solver.done(id));
-  EXPECT_EQ(solver.wait_outcome(id).error, core::AdmissionError::kCycle);
+  EXPECT_EQ(solver.collect_outcome(id).error, core::AdmissionError::kCycle);
 }
 
 TEST(BatchSolver, RejectsInvalidParamsAtAdmission) {
@@ -275,7 +251,7 @@ TEST(BatchSolver, RejectsInvalidParamsAtAdmission) {
   const auto expect_bad_param = [&](const core::AcoParams& params) {
     const auto id = test::submit_request(solver, g, params);
     EXPECT_TRUE(solver.done(id));  // born finished, colony never ran
-    EXPECT_EQ(solver.wait_outcome(id).error,
+    EXPECT_EQ(solver.collect_outcome(id).error,
               core::AdmissionError::kBadParam);
   };
   auto params = small_params();
@@ -296,8 +272,7 @@ TEST(BatchSolver, RejectsInvalidParamsAtAdmission) {
 TEST(BatchSolver, UnknownJobIdThrows) {
   core::BatchSolver solver;
   EXPECT_THROW(solver.done(0), support::CheckError);
-  EXPECT_THROW(solver.poll_outcome(3), support::CheckError);
-  EXPECT_THROW(solver.wait_outcome(1), support::CheckError);
+  EXPECT_THROW(solver.collect_outcome(1), support::CheckError);
 }
 
 TEST(BatchSolver, EmptyBatchAndEmptyGraph) {
@@ -307,7 +282,7 @@ TEST(BatchSolver, EmptyBatchAndEmptyGraph) {
   EXPECT_TRUE(none.empty());
 
   const graph::Digraph empty;
-  const auto& result =
+  const auto result =
       test::wait_result(solver, test::submit_request(solver, empty, small_params()));
   EXPECT_EQ(result.layering.num_vertices(), 0u);
 }
@@ -317,7 +292,7 @@ TEST(BatchSolver, DestructorDrainsOutstandingJobs) {
   // have run (the pool drains its queue), not abandon or crash them.
   const auto graphs = test::random_battery(6);
   {
-    core::BatchSolver solver(core::BatchOptions{2, false});
+    core::BatchSolver solver(2);
     for (const auto& g : graphs) test::submit_request(solver, g, small_params());
     // No wait: the destructor owns the drain.
   }

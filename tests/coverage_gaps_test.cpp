@@ -122,7 +122,7 @@ TEST(BfsOrderWalk, DiffersFromRandomOrderSearch) {
 }
 
 TEST(AcoParams, BoundaryValuesAccepted) {
-  COVERS("acolay::core::validate_aco_params (boundary values)");
+  COVERS("acolay::core::validate_request (params boundary values)");
   const auto g = test::diamond();
   core::AcoParams params;
   params.num_ants = 1;

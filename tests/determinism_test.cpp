@@ -234,7 +234,7 @@ TEST(Determinism, BatchSolverIsBitIdenticalToSequentialAcrossThreadCounts) {
   }
 
   for (const int threads : thread_counts()) {
-    core::BatchSolver solver(core::BatchOptions{threads, false});
+    core::BatchSolver solver(threads);
     std::vector<core::BatchJobId> ids;
     for (std::size_t gi = 0; gi < corpus.graphs.size(); ++gi) {
       core::AcoParams p = params;
@@ -242,7 +242,7 @@ TEST(Determinism, BatchSolverIsBitIdenticalToSequentialAcrossThreadCounts) {
       ids.push_back(test::submit_request(solver, corpus.graphs[gi], p));
     }
     for (std::size_t gi = 0; gi < ids.size(); ++gi) {
-      const auto& result = test::wait_result(solver, ids[gi]);
+      const auto result = test::wait_result(solver, ids[gi]);
       ASSERT_EQ(result.layering, reference[gi].layering)
           << "graph " << gi << ", threads " << threads;
       EXPECT_EQ(result.metrics.objective, reference[gi].metrics.objective);
@@ -260,7 +260,7 @@ TEST(Determinism, BatchSolverIsBitIdenticalToSequentialAcrossThreadCounts) {
 }
 
 TEST(Determinism, BatchSolverIsStableUnderSubmissionPermutation) {
-  // Per-job results depend only on (graph, effective params): submitting
+  // Per-job results depend only on (graph, params): submitting
   // the same jobs in a different order — onto workers with differently
   // warmed workspaces — must not change any of them.
   const auto corpus = seeded_corpus();
@@ -274,7 +274,7 @@ TEST(Determinism, BatchSolverIsStableUnderSubmissionPermutation) {
     return p;
   };
 
-  core::BatchSolver forward(core::BatchOptions{4, false});
+  core::BatchSolver forward(4);
   std::vector<core::BatchJobId> forward_ids(corpus.graphs.size());
   for (std::size_t gi = 0; gi < corpus.graphs.size(); ++gi) {
     forward_ids[gi] =
@@ -282,7 +282,7 @@ TEST(Determinism, BatchSolverIsStableUnderSubmissionPermutation) {
   }
 
   // Reverse order: the largest graphs now warm the workspaces first.
-  core::BatchSolver backward(core::BatchOptions{4, false});
+  core::BatchSolver backward(4);
   std::vector<core::BatchJobId> backward_ids(corpus.graphs.size());
   for (std::size_t gi = corpus.graphs.size(); gi-- > 0;) {
     backward_ids[gi] =
@@ -290,8 +290,8 @@ TEST(Determinism, BatchSolverIsStableUnderSubmissionPermutation) {
   }
 
   for (std::size_t gi = 0; gi < corpus.graphs.size(); ++gi) {
-    const auto& a = test::wait_result(forward, forward_ids[gi]);
-    const auto& b = test::wait_result(backward, backward_ids[gi]);
+    const auto a = test::wait_result(forward, forward_ids[gi]);
+    const auto b = test::wait_result(backward, backward_ids[gi]);
     ASSERT_EQ(a.layering, b.layering) << "graph " << gi;
     EXPECT_EQ(a.metrics.objective, b.metrics.objective);
     EXPECT_EQ(a.metrics.dummy_count, b.metrics.dummy_count);
@@ -309,7 +309,7 @@ TEST(Determinism, BatchWorkerWorkspacesCarryNoCrossGraphState) {
   params.num_tours = 3;
   params.seed = 31337;
 
-  core::BatchSolver warm(core::BatchOptions{2, false});
+  core::BatchSolver warm(2);
   std::vector<core::BatchJobId> first_ids;
   for (const auto& g : corpus.graphs) {
     first_ids.push_back(test::submit_request(warm, g, params));
@@ -319,13 +319,13 @@ TEST(Determinism, BatchWorkerWorkspacesCarryNoCrossGraphState) {
   for (std::size_t gi = 0; gi < corpus.graphs.size(); ++gi) {
     const auto rerun_id =
         test::submit_request(warm, corpus.graphs[gi], params);
-    const auto& first = test::wait_result(warm, first_ids[gi]);
-    const auto& rerun = test::wait_result(warm, rerun_id);
+    const auto first = test::wait_result(warm, first_ids[gi]);
+    const auto rerun = test::wait_result(warm, rerun_id);
     ASSERT_EQ(first.layering, rerun.layering) << "graph " << gi;
     EXPECT_EQ(first.metrics.objective, rerun.metrics.objective);
 
-    core::BatchSolver cold(core::BatchOptions{1, false});
-    const auto& fresh = test::wait_result(
+    core::BatchSolver cold(1);
+    const auto fresh = test::wait_result(
         cold, test::submit_request(cold, corpus.graphs[gi], params));
     ASSERT_EQ(first.layering, fresh.layering) << "graph " << gi;
     EXPECT_EQ(first.metrics.objective, fresh.metrics.objective);

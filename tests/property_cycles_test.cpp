@@ -11,7 +11,8 @@
 //    reversal set,
 //  * end-to-end solves under both admitting policies are bit-identical
 //    across thread counts, reruns, and entry points (core::solve,
-//    BatchSolver, AntColony), and the default policy still rejects.
+//    BatchSolver, AntColony, IncrementalSolver), and the default policy
+//    still rejects.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 
 #include "core/batch.hpp"
 #include "core/colony.hpp"
+#include "core/incremental.hpp"
 #include "core/request.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/cycle_removal.hpp"
@@ -140,7 +142,7 @@ core::SolveOutcome solve_via_batch(const graph::Digraph& g,
                                    const core::AcoParams& params,
                                    core::CyclePolicy policy,
                                    int num_threads) {
-  core::BatchSolver solver(core::BatchOptions{num_threads, false});
+  core::BatchSolver solver(num_threads);
   core::SolveRequest request;
   request.graph = &g;
   request.params = params;
@@ -184,6 +186,13 @@ TEST(PropertyCycles, SolvesBitIdenticalAcrossThreadCountsAndEntryPoints) {
       const auto colony_result = colony.run();
       EXPECT_EQ(colony_result.layering, direct.result.layering);
       EXPECT_EQ(colony.reversed_edges(), direct.reversed_edges);
+      // IncrementalSolver is the fourth: its constructor admits, and its
+      // cold solve() reports the constructor's reversal.
+      core::IncrementalSolver session(g, params, {.cycle_policy = policy});
+      const auto& session_outcome = session.solve();
+      ASSERT_TRUE(session_outcome.ok()) << session_outcome.message;
+      EXPECT_EQ(session_outcome.result.layering, direct.result.layering);
+      EXPECT_EQ(session_outcome.reversed_edges, direct.reversed_edges);
     }
   }
 }

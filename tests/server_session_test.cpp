@@ -322,7 +322,7 @@ TEST(ServerSession, ServedStreamIsBitIdenticalToDirectBatchSolve) {
     frames.push_back(frame(id, graphs.back(), 3, 100 + i));
   }
 
-  core::BatchSolver direct(core::BatchOptions{.num_threads = 2});
+  core::BatchSolver direct(2);
   const auto expected = direct.solve_all(graphs, params);
 
   std::vector<std::vector<std::string>> transcripts;

@@ -24,15 +24,15 @@ inline core::BatchJobId submit_request(core::BatchSolver& solver,
   return solver.submit(request);
 }
 
-/// Structured-path wait for tests that expect success: throws CheckError
-/// on a rejected/failed outcome (making the test fail loudly) and returns
-/// the solver-owned result otherwise.
-inline const core::AcoResult& wait_result(core::BatchSolver& solver,
-                                          core::BatchJobId id) {
-  const core::SolveOutcome& outcome = solver.wait_outcome(id);
+/// Collects job `id` for tests that expect success: throws CheckError on a
+/// rejected/failed outcome (making the test fail loudly) and returns the
+/// result otherwise.
+inline core::AcoResult wait_result(core::BatchSolver& solver,
+                                   core::BatchJobId id) {
+  core::SolveOutcome outcome = solver.collect_outcome(id);
   ACOLAY_CHECK_MSG(outcome.ok(),
                    "job " << id << " failed: " << outcome.message);
-  return outcome.result;
+  return std::move(outcome.result);
 }
 
 /// Every fixture builder routes its graph through this gate: a cyclic
