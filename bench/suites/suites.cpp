@@ -9,10 +9,10 @@ std::vector<harness::Suite> all_suites() {
   suites.push_back(corpus_stats_suite());
   suites.push_back(micro_suite());
   suites.push_back(batch_throughput_suite());
-  suites.push_back(pheromone_update_suite());
   suites.push_back(serving_latency_suite());
   suites.push_back(relayer_latency_suite());
   suites.push_back(cyclic_admission_suite());
+  suites.push_back(scaling_suite());
   return suites;
 }
 

@@ -33,11 +33,6 @@ harness::Suite micro_suite();
 /// batch sizes 1/8/64.
 harness::Suite batch_throughput_suite();
 
-/// pheromone_update — fused/sharded PheromoneMatrix::update vs the
-/// discrete evaporate+deposit+clamp protocol across matrix shapes, with
-/// the final matrix extrema as gated quality series.
-harness::Suite pheromone_update_suite();
-
 /// serving_latency — server::Server p50/p99 response latency under a
 /// synthetic open-loop request stream (one third duplicates), gated on
 /// served-equals-direct objective parity and exact dedup collapse.
@@ -54,6 +49,11 @@ harness::Suite relayer_latency_suite();
 /// aco — the aco_fas Phase 0 mini-colony is comparable to the main solve
 /// on the small CI instances).
 harness::Suite cyclic_admission_suite();
+
+/// scaling — serial core::solve on deep and wide DAGs of n = 256..4096:
+/// solve time, the final pheromone matrix's bytes and the colony's
+/// objective over its longest-path start (both gated).
+harness::Suite scaling_suite();
 
 /// Every registered suite, in canonical order.
 std::vector<harness::Suite> all_suites();

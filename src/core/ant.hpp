@@ -17,6 +17,19 @@
 // vertex's neighbours (Alg. 4 lines 9–11). eta is evaluated directly from
 // the width profile rather than materialised as a matrix — the two are
 // equivalent and this avoids O(V * L) refreshes.
+//
+// The greedy argmax (kGreedyMax without a max_width capacity, the paper's
+// setting) does not score every layer of a span. A pheromone run of value
+// c scores c^alpha * eta^beta, one positive factor times the per-layer
+// eta cache, so a whole block of the cache that lies inside one run is
+// decided by the block's maximum and the number of layers holding it. A
+// move marks the summaries of the blocks whose eta it changed stale; the
+// next visit that needs one rebuilds it.
+// Layers at the ends of runs and spans, and blocks where rounding could
+// merge the runner-up into the maximum, are scored one by one. The
+// choice — maximum, tie count, the rng draw and the k-th tie in layer
+// order — is exactly the full scan's. Roulette selection and max_width > 0
+// keep the full scan.
 #pragma once
 
 #include <cstdint>
@@ -47,19 +60,30 @@ struct WalkResult {
   int moves = 0;
 };
 
+/// Layers per block of the eta cache's block summaries (the greedy walk's
+/// block-max argmax).
+inline constexpr int kEtaBlockLayers = 32;
+
 /// The ant's reusable working state: the paper-§VI per-ant copies (layer
 /// widths, layer spans) plus every scratch buffer the walk and its metrics
 /// evaluation need. Owned by the colony (one per ant slot) and reused
 /// across all tours, so that after the first tour a walk performs zero
 /// heap allocation: every buffer is reset in place at its high-water size.
 struct WalkWorkspace {
+  /// Summary of eta_term over one block of kEtaBlockLayers layers.
+  struct EtaBlock {
+    double max = 0.0;       ///< largest term in the block
+    double second = 0.0;    ///< largest term below max (-inf if none)
+    std::size_t count = 0;  ///< layers holding max; 0 marks it stale
+  };
+
   layering::LayerWidths widths;   ///< per-ant Alg. 5 width profile
   layering::SpanTable spans;      ///< per-ant layer spans (Alg. 4 l. 9–11)
   layering::MetricsWorkspace metrics;  ///< fused-metrics scratch
   std::vector<std::int32_t> order;       ///< vertex visiting order
   std::vector<double> scores;            ///< per-candidate-layer scores
   std::vector<double> eta_term;          ///< per-layer eta^beta cache
-  std::vector<int> ties;                 ///< argmax tie indices
+  std::vector<EtaBlock> eta_blocks;      ///< per-block eta_term summaries
   std::vector<std::uint8_t> bfs_seen;    ///< BFS scratch (VertexOrder::kBfs)
   std::vector<graph::VertexId> bfs_queue;  ///< BFS frontier scratch
 
@@ -74,7 +98,7 @@ struct WalkWorkspace {
     order.reserve(num_vertices);
     scores.reserve(num_layers);
     eta_term.reserve(num_layers);
-    ties.reserve(num_layers);
+    eta_blocks.reserve((num_layers + kEtaBlockLayers - 1) / kEtaBlockLayers);
     bfs_seen.reserve(num_vertices);
     bfs_queue.reserve(num_vertices);
   }

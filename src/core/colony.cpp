@@ -146,10 +146,9 @@ void run_tours(const graph::CsrView& csr, const AcoParams& params,
       result.trace.push_back(stats);
     }
 
-    // Evaporation + tour-best deposit (Alg. 4 lines 16–17), fused into one
-    // sharded sweep (bit-identical to the discrete evaporate/deposit/clamp
-    // sequence; infinite bounds disable clamping exactly). The ant pool is
-    // idle between tours, so large matrices fan the row shards out on it.
+    // Evaporation + tour-best deposit (Alg. 4 lines 16–17) on every run of
+    // every row (bit-identical to the discrete evaporate/deposit/clamp
+    // sequence; infinite bounds disable clamping exactly).
     const double amount = params.deposit * tour_best.objective;
     const bool clamped =
         params.tau_min > 0.0 ||
@@ -158,8 +157,7 @@ void run_tours(const graph::CsrView& csr, const AcoParams& params,
                   clamped ? params.tau_min
                           : -std::numeric_limits<double>::infinity(),
                   clamped ? params.tau_max
-                          : std::numeric_limits<double>::infinity(),
-                  ant_pool);
+                          : std::numeric_limits<double>::infinity());
 
     // The tour-best layering (hence its width profile / heuristic state)
     // seeds the next tour (Alg. 4 line 18).

@@ -145,20 +145,16 @@ void IncrementalSolver::remap_pheromone(
     touched_[static_cast<std::size_t>(e.target)] = 1;
   }
 
+  // Surviving rows keep their runs over the layers both budgets share
+  // (copy_cols); the layers a grown budget adds start at tau0.
   tau_scratch_.reset(n, layers, params_.tau0);
   if (ws_.tau.num_vertices() == n_old) {
-    const auto copy_cols = std::min(static_cast<std::size_t>(layers),
-                                    static_cast<std::size_t>(std::max(
-                                        ws_.tau.num_layers(), 0)));
+    const int copy_cols = std::min(layers, ws_.tau.num_layers());
     for (graph::VertexId v = 0; static_cast<std::size_t>(v) < n_old; ++v) {
       const graph::VertexId nv = remap_.map(v);
       if (nv == graph::DeltaRemap::kRemoved) continue;
       if (touched_[static_cast<std::size_t>(nv)] != 0) continue;
-      const auto src = ws_.tau.row(v);
-      const auto dst = tau_scratch_.row(nv);
-      std::copy(src.begin(),
-                src.begin() + static_cast<std::ptrdiff_t>(copy_cols),
-                dst.begin());
+      tau_scratch_.copy_row(nv, ws_.tau, v, copy_cols, params_.tau0);
     }
   }
   std::swap(ws_.tau, tau_scratch_);
@@ -254,6 +250,8 @@ const SolveOutcome& IncrementalSolver::update(const graph::GraphDelta& delta) {
   }
   const std::size_t n_old = graph_.num_vertices();
   std::swap(graph_, scratch_graph_);
+  // The constructor's reversals describe the graph just replaced.
+  initial_reversed_.clear();
 
   if (cycle_broken) {
     // The reversals rewrote edges beyond the delta, so the copy-with-patch

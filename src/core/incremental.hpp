@@ -130,8 +130,10 @@ class IncrementalSolver {
 
   /// Cold full-budget solve of the current graph, retaining the final
   /// pheromone matrix and best layering as the warm state for subsequent
-  /// updates. Its reversed_edges are the ones the constructor's Phase 0
-  /// reversed (graph() is the reoriented instance). Returns a borrowed
+  /// updates. Until the first update() commits, its reversed_edges are
+  /// the ones the constructor's Phase 0 reversed (graph() is the
+  /// reoriented instance); after that they are empty, since an update
+  /// replaces the graph those reversals described. Returns a borrowed
   /// outcome, valid until the next call.
   const SolveOutcome& solve();
 
@@ -184,7 +186,8 @@ class IncrementalSolver {
   int num_updates_ = 0;
   bool has_state_ = false;
   graph::RefreezeKind last_refreeze_ = graph::RefreezeKind::kFull;
-  /// Constructor-time Phase 0 reversal, reported by solve().
+  /// Constructor-time Phase 0 reversal, reported by solve() until the
+  /// first update() commits.
   std::vector<graph::Edge> initial_reversed_;
 
   // Update scratch, persisted for allocation-free steady state.

@@ -7,17 +7,20 @@
 // alpha > 1 without heuristic bias stagnates, §IV-D; clamping is the
 // standard remedy and is exercised by the ablation bench).
 //
-// The per-tour update is the last O(n·L) pass of the colony loop, so
-// update() fuses evaporate + tour-best deposit + clamp into one plain
-// sweep over the row-major tau array (the compiler vectorizes it),
-// optionally sharded across a support::ThreadPool by contiguous row
-// blocks for very large matrices. Every path — the three discrete
-// methods, the fused sweep, and the sharded sweep at any thread count —
-// is bit-identical (tests/core_pheromone_test.cpp pins it on randomized
-// matrices).
+// The stretch step (§V-A) gives every vertex L = n candidate layers, but a
+// row holds very few distinct values: evaporation scales a whole row by
+// one factor and the tour-best deposits on one layer per row, so after T
+// tours a row is at most 2T + 1 runs of equal values. Each row is stored
+// as that sorted list of runs. update() applies to each run's value the
+// expression a dense sweep applies to each of its layers, so every
+// tau(v, l) is bit-identical to the dense matrix the paper describes
+// (tests/core_pheromone_test.cpp drives both side by side). The walk reads
+// a row run by run (core/ant.cpp), which is what lets its greedy argmax
+// skip whole blocks of layers.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -30,134 +33,103 @@ class ThreadPool;
 
 namespace acolay::core {
 
-/// The pheromone matrix tau of the colony (paper §IV-D): one double per
-/// (vertex, layer) coupling, row-major with one contiguous L-sized row
-/// per vertex. Layers are 1-based throughout.
+/// The pheromone matrix tau of the colony (paper §IV-D): one value per
+/// (vertex, layer) coupling, each row stored as runs of equal values.
+/// Layers are 1-based throughout.
 class PheromoneMatrix {
  public:
+  /// Layers [first, the next run's first) of a row all hold `value`; the
+  /// last run of a row extends to num_layers().
+  struct Run {
+    int first = 1;        ///< first layer of the run (1-based)
+    double value = 0.0;   ///< tau of every layer in the run
+  };
+
   /// An empty 0 x 0 matrix; fill with reset() before use.
   PheromoneMatrix() = default;
 
   /// num_vertices x num_layers matrix, all entries tau0.
   PheromoneMatrix(std::size_t num_vertices, int num_layers, double tau0);
 
-  /// Re-initialises to a num_vertices x num_layers matrix of tau0, reusing
-  /// the existing buffer where capacity allows — the per-colony-run (and
-  /// MAX-MIN restart) path of the batch solver, allocation-free once the
-  /// buffer has reached its high-water size. Produces exactly the values
-  /// the constructor would.
+  /// Re-initialises to a num_vertices x num_layers matrix of tau0: every
+  /// row becomes one run, in O(num_vertices). The run arena keeps its row
+  /// stride and capacity, so the per-colony-run (and MAX-MIN restart) path
+  /// is allocation-free once the arena has reached its high-water size.
   void reset(std::size_t num_vertices, int num_layers, double tau0);
 
-  /// Pre-grows the buffer for a num_vertices x num_layers matrix.
-  void reserve(std::size_t num_vertices, int num_layers) {
-    tau_.reserve(num_vertices *
-                 static_cast<std::size_t>(std::max(num_layers, 0)));
-  }
+  /// Pre-grows the arena for num_vertices rows of a num_layers-layer
+  /// matrix at the stride reset() would pick.
+  void reserve(std::size_t num_vertices, int num_layers);
 
   /// Number of vertex rows.
   std::size_t num_vertices() const { return vertices_; }
   /// Number of layer columns.
   int num_layers() const { return layers_; }
 
-  /// tau(v, l); layers are 1-based.
-  double at(graph::VertexId v, int layer) const {
-    return tau_[offset(v, layer)];
-  }
+  /// tau(v, l); layers are 1-based. O(log runs of the row).
+  double at(graph::VertexId v, int layer) const;
 
-  /// tau(v, l) without the release-build bounds checks — the ant's scoring
-  /// loop reads tau once per candidate layer, and the layer is already
-  /// range-checked by construction (it comes from the vertex's layer span).
-  double at_unchecked(graph::VertexId v, int layer) const {
+  /// The runs of row `v` in layer order: the first starts at layer 1 and
+  /// each run ends where the next begins. Neighbouring runs hold values
+  /// that differ in at least one bit.
+  std::span<const Run> runs(graph::VertexId v) const {
     ACOLAY_DCHECK_MSG(v >= 0 && static_cast<std::size_t>(v) < vertices_,
                       "vertex " << v << " out of range");
-    ACOLAY_DCHECK_MSG(layer >= 1 && layer <= layers_,
-                      "layer " << layer << " out of range");
-    return tau_[offset_unchecked(v, layer)];
+    return {runs_.data() + static_cast<std::size_t>(v) * stride_,
+            counts_[static_cast<std::size_t>(v)]};
   }
 
-  /// tau *= (1 - rho) for every element.
-  void evaporate(double rho);
+  /// Index of the run of `row` (a runs() span) that holds `layer`.
+  static std::size_t run_holding(std::span<const Run> row, int layer) {
+    return static_cast<std::size_t>(
+        std::upper_bound(row.begin(), row.end(), layer,
+                         [](int l, const Run& r) { return l < r.first; }) -
+        row.begin() - 1);
+  }
 
-  /// tau(v, l) += amount.
-  void deposit(graph::VertexId v, int layer, double amount);
-
-  /// Clamps every element into [tau_min, tau_max].
-  void clamp(double tau_min, double tau_max);
-
-  /// The whole per-tour update protocol (Alg. 4 lines 16–17) in one fused
-  /// sweep: for every vertex v, tau(v, ·) *= (1 - rho), then
-  /// tau(v, deposit_layers[v]) += amount, then every element is clamped
-  /// into [tau_min, tau_max]. Exactly one deposit per row —
-  /// `deposit_layers` is the tour-best ant's layer assignment
-  /// (Layering::raw()), so `deposit_layers.size()` must equal
-  /// num_vertices() and every entry must be a valid 1-based layer.
+  /// The whole per-tour update protocol (Alg. 4 lines 16–17): for every
+  /// vertex v, tau(v, ·) *= (1 - rho), then tau(v, deposit_layers[v]) +=
+  /// amount, then every element is clamped into [tau_min, tau_max].
+  /// Exactly one deposit per row — `deposit_layers` is the tour-best ant's
+  /// layer assignment (Layering::raw()), so `deposit_layers.size()` must
+  /// equal num_vertices() and every entry must be a valid 1-based layer.
+  /// Each row's deposit run splits into at most three, and neighbouring
+  /// runs whose values became bit-equal merge.
   ///
   /// Pass tau_min = -infinity / tau_max = +infinity to disable clamping
-  /// exactly (the identity on finite tau). Bit-identical to
-  /// evaporate(rho); deposit(v, deposit_layers[v], amount) for all v;
-  /// clamp(tau_min, tau_max) — but in one pass over memory instead of
-  /// three.
-  ///
-  /// When `pool` is non-null and the matrix is large enough to amortise
-  /// task dispatch, the sweep is sharded across the pool by contiguous
-  /// blocks of whole rows. Rows are elementwise-independent and each row
-  /// receives its single deposit inside its shard, so the result is
-  /// bit-identical for every thread count and shard split. Must not be
-  /// called from a task already running on `pool` (no nested
-  /// parallelism); pass nullptr there — BatchSolver's whole-colony tasks
-  /// do.
+  /// exactly (the identity on finite tau). `pool` is ignored: the update
+  /// costs O(runs), far below one task dispatch.
   void update(double rho, std::span<const int> deposit_layers, double amount,
               double tau_min, double tau_max,
               support::ThreadPool* pool = nullptr);
 
-  /// The contiguous row of vertex `v` (index 0 = layer 1) — the bulk
-  /// accessor the incremental solver's row remap copies through.
-  std::span<const double> row(graph::VertexId v) const {
-    ACOLAY_CHECK_MSG(v >= 0 && static_cast<std::size_t>(v) < vertices_,
-                     "vertex " << v << " out of range");
-    return {tau_.data() + offset_unchecked(v, 1),
-            static_cast<std::size_t>(layers_)};
-  }
+  /// Row `v` becomes layers [1, cols] of row `src_v` of `src`, followed by
+  /// tau0 on layers (cols, num_layers()] — the incremental solver's remap
+  /// of a surviving vertex. O(runs). Requires 1 <= cols <= num_layers()
+  /// and cols <= src.num_layers().
+  void copy_row(graph::VertexId v, const PheromoneMatrix& src,
+                graph::VertexId src_v, int cols, double tau0);
 
-  /// Mutable row of vertex `v` (index 0 = layer 1). The caller owns
-  /// validity: entries must stay positive for the walk's scoring rule.
-  std::span<double> row(graph::VertexId v) {
-    ACOLAY_CHECK_MSG(v >= 0 && static_cast<std::size_t>(v) < vertices_,
-                     "vertex " << v << " out of range");
-    return {tau_.data() + offset_unchecked(v, 1),
-            static_cast<std::size_t>(layers_)};
-  }
-
-  /// Smallest element (O(n·L); requires a non-empty matrix).
-  double min_value() const;
-  /// Largest element (O(n·L); requires a non-empty matrix).
-  double max_value() const;
+  /// Bytes the matrix holds: the capacity of its run arena and run counts.
+  std::size_t bytes() const;
 
  private:
-  /// The row-major layout, in exactly one place: both accessors route
-  /// through it, so they cannot diverge if the layout changes.
-  std::size_t offset_unchecked(graph::VertexId v, int layer) const {
-    return static_cast<std::size_t>(v) * static_cast<std::size_t>(layers_) +
-           static_cast<std::size_t>(layer - 1);
-  }
+  /// The row stride reset() and reserve() pick for a num_layers-layer
+  /// matrix: the current stride, raised to at least 1 and to the initial
+  /// stride (or num_layers, if fewer). It never shrinks, so a warm arena
+  /// keeps its size.
+  std::size_t stride_for(int num_layers) const;
 
-  std::size_t offset(graph::VertexId v, int layer) const {
-    ACOLAY_CHECK_MSG(v >= 0 && static_cast<std::size_t>(v) < vertices_,
-                     "vertex " << v << " out of range");
-    ACOLAY_CHECK_MSG(layer >= 1 && layer <= layers_,
-                     "layer " << layer << " out of range");
-    return offset_unchecked(v, layer);
-  }
-
-  /// The fused update over rows [begin_vertex, end_vertex) — the shard
-  /// body; see update() for the semantics.
-  void update_rows(std::size_t begin_vertex, std::size_t end_vertex,
-                   double keep, std::span<const int> deposit_layers,
-                   double amount, double tau_min, double tau_max);
+  /// Re-lays every row at a stride of at least `min_stride` runs
+  /// (doubling, capped at num_layers()).
+  void grow_stride(std::size_t min_stride);
 
   std::size_t vertices_ = 0;
   int layers_ = 0;
-  std::vector<double> tau_;
+  /// Runs reserved per row: row v occupies runs_[v * stride_, ...).
+  std::size_t stride_ = 0;
+  std::vector<Run> runs_;
+  std::vector<std::uint32_t> counts_;  ///< runs in use per row
 };
 
 }  // namespace acolay::core

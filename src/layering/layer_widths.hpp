@@ -67,7 +67,7 @@ class LayerWidths {
 
   /// width() without the release-build range check — for the ant's inner
   /// loop, where the layer comes from a span that is in range by
-  /// construction (mirrors PheromoneMatrix::at_unchecked).
+  /// construction.
   double width_unchecked(int layer) const {
     ACOLAY_DCHECK_MSG(layer >= 1 && layer <= num_layers(),
                       "layer " << layer << " out of range");

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baselines/longest_path.hpp"
 #include "core/stretch.hpp"
 #include "layering/metrics.hpp"
@@ -106,10 +108,10 @@ TEST(AntWalk, PurePheromoneFollowsTrail) {
   params.beta = 0.0;
   params.tie_break = TieBreak::kFirst;
   PheromoneMatrix tau(g.num_vertices(), fx.num_layers, 0.001);
-  for (graph::VertexId v = 0;
-       static_cast<std::size_t>(v) < g.num_vertices(); ++v) {
-    tau.deposit(v, fx.base.layer(v), 10.0);
-  }
+  // rho = 0 keeps every value: the update only deposits on the base.
+  tau.update(0.0, fx.base.raw(), 10.0,
+             -std::numeric_limits<double>::infinity(),
+             std::numeric_limits<double>::infinity());
   const auto walk = fx.walk(tau, params, 2);
   EXPECT_EQ(walk.layering, fx.base);
   EXPECT_EQ(walk.moves, 0);

@@ -225,6 +225,31 @@ TEST(IncrementalSolver, BitIdenticalAcrossThreadCountsAndReruns) {
   EXPECT_EQ(run_script(0), serial);  // hardware concurrency
 }
 
+TEST(IncrementalSolver, SolveReportsOnlyCurrentReversals) {
+  // The constructor's Phase 0 reversal belongs to the constructor's graph:
+  // once an update replaces that graph, a cold solve() of the new one has
+  // reversed nothing.
+  graph::Digraph cyclic(4);
+  cyclic.add_edge(0, 1);
+  cyclic.add_edge(1, 2);
+  cyclic.add_edge(2, 0);
+  cyclic.add_edge(2, 3);
+  IncrementalOptions options;
+  options.cycle_policy = CyclePolicy::kGreedyReverse;
+  IncrementalSolver solver(cyclic, quick_params(), options);
+  const SolveOutcome& first = solver.solve();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.reversed_edges, (std::vector<graph::Edge>{{2, 0}}));
+
+  graph::GraphDelta clear;
+  clear.remove_edges = solver.graph().edges();
+  ASSERT_TRUE(solver.update(clear).ok());
+  EXPECT_EQ(solver.graph().num_edges(), 0u);
+  const SolveOutcome& second = solver.solve();
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second.reversed_edges.empty());
+}
+
 TEST(IncrementalSolver, SteadyStateUpdateIsAllocationFree) {
   // Serial path, capacities warmed by one full remove/re-add cycle; the
   // second cycle — refreeze, pheromone remap, base repair, tours, the
